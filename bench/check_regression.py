@@ -19,6 +19,12 @@ bench/run_bench.sh / bench/run_merge_bench.sh) and fails if:
     appear as plain fields on the benchmark object) whose median is
     >= FLOOR. This is how the freq gate pins heavy-hitter recall.
 
+Rates only compare on the same hardware: when the two files' context
+blocks disagree on num_cpus or mhz_per_cpu, the vs-baseline rows are
+skipped with one SKIPPED line naming both machines. The speedup and
+accuracy floors are measured within the current run, so they are always
+enforced.
+
 Exit status 0 on pass, 1 on any failure.
 """
 
@@ -35,18 +41,37 @@ def die(message):
     sys.exit(2)
 
 
-def load_items_per_second(path):
-    """name -> items/sec; the MEDIAN when a name repeats (benchmark
-    --benchmark_repetitions, or several runs merged into one file, as
-    bench/run_obs_bench.sh does to wash out thermal drift)."""
+def load_json(path):
     try:
         with open(path) as f:
-            data = json.load(f)
+            return json.load(f)
     except OSError as exc:
         die(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         die(f"{path} is not valid JSON ({exc}) — was the benchmark "
             f"interrupted mid-write?")
+
+
+def hardware(path):
+    """(num_cpus, mhz_per_cpu) from the file's google-benchmark context
+    block, or None when the file does not record them."""
+    context = load_json(path).get("context")
+    if not isinstance(context, dict):
+        return None
+    cpus, mhz = context.get("num_cpus"), context.get("mhz_per_cpu")
+    return None if cpus is None or mhz is None else (cpus, mhz)
+
+
+def describe(hw):
+    cpus, mhz = hw
+    return f"{cpus} CPU{'' if cpus == 1 else 's'} @{mhz} MHz"
+
+
+def load_items_per_second(path):
+    """name -> items/sec; the MEDIAN when a name repeats (benchmark
+    --benchmark_repetitions, or several runs merged into one file, as
+    bench/run_obs_bench.sh does to wash out thermal drift)."""
+    data = load_json(path)
     if not isinstance(data, dict) or not isinstance(data.get("benchmarks"), list):
         die(f"{path}: expected google-benchmark JSON with a top-level "
             f"'benchmarks' array (got {type(data).__name__})")
@@ -78,13 +103,8 @@ def load_items_per_second(path):
 def load_counter(path, name, field):
     """Median of a custom counter across a named benchmark's non-aggregate
     rows, or None if the row or field is absent."""
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        die(f"cannot read {path}: {exc}")
     values = []
-    for bench in data.get("benchmarks", []):
+    for bench in load_json(path).get("benchmarks", []):
         if not isinstance(bench, dict) or bench.get("run_type") == "aggregate":
             continue
         if bench.get("name") != name:
@@ -158,6 +178,12 @@ def main():
     baseline = load_items_per_second(args.baseline)
     current = load_items_per_second(args.current)
     failures = []
+
+    base_hw, run_hw = hardware(args.baseline), hardware(args.current)
+    if base_hw is not None and run_hw is not None and base_hw != run_hw:
+        print(f"SKIPPED (baseline: {describe(base_hw)}, run: {describe(run_hw)}): "
+              f"{len(baseline)} rows of {args.baseline} not compared across hardware")
+        baseline = {}
 
     for name in sorted(baseline):
         if name not in current:

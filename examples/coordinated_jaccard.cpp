@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "common/random.h"
-#include "core/set_ops.h"
+#include "query/service.h"
 
 int main() {
   using namespace ustream;
@@ -29,7 +29,17 @@ int main() {
   for (std::uint64_t i = 0; i < kOnlyA; ++i) campaign_a.add(rng.next());
   for (std::uint64_t i = 0; i < kOnlyB; ++i) campaign_b.add(rng.next());
 
-  const auto est = estimate_set_expressions(campaign_a, campaign_b);
+  // The query engine names the two sketches site:0 and site:1; every
+  // quantity below is one set expression over them.
+  const query::ResolveSketch campaigns = [&](const query::Expr& leaf) -> const F0Estimator* {
+    if (leaf.operand != query::OperandKind::kSite || leaf.id > 1) return nullptr;
+    return leaf.id == 0 ? &campaign_a : &campaign_b;
+  };
+  const auto estimate = [&](const char* expr) {
+    return query::run_query(expr, campaigns).estimate;
+  };
+  const double union_est = estimate("site:0 | site:1");
+  const double overlap_est = estimate("site:0 & site:1");
   const double union_truth = kOnlyA + kOnlyB + kBoth;
   const double jaccard_truth = static_cast<double>(kBoth) / union_truth;
 
@@ -38,11 +48,10 @@ int main() {
               campaign_a.estimate());
   std::printf("%-22s %12.0f %12.0f\n", "|B| (reach B)", double(kOnlyB + kBoth),
               campaign_b.estimate());
-  std::printf("%-22s %12.0f %12.0f\n", "|A u B| (total reach)", union_truth, est.union_size);
-  std::printf("%-22s %12.0f %12.0f\n", "|A n B| (overlap)", double(kBoth),
-              est.intersection_size);
-  std::printf("%-22s %12.0f %12.0f\n", "|A \\ B|", double(kOnlyA), est.difference_a_minus_b);
-  std::printf("%-22s %12.4f %12.4f\n", "Jaccard", jaccard_truth, est.jaccard);
+  std::printf("%-22s %12.0f %12.0f\n", "|A u B| (total reach)", union_truth, union_est);
+  std::printf("%-22s %12.0f %12.0f\n", "|A n B| (overlap)", double(kBoth), overlap_est);
+  std::printf("%-22s %12.0f %12.0f\n", "|A \\ B|", double(kOnlyA), estimate("site:0 \\ site:1"));
+  std::printf("%-22s %12.4f %12.4f\n", "Jaccard", jaccard_truth, overlap_est / union_est);
   std::printf("\nsketch memory per server: %zu bytes\n", campaign_a.bytes_used());
   return 0;
 }

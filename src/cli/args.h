@@ -18,6 +18,14 @@ class Args {
 
   bool has(const std::string& key) const { return flags_.count(key) > 0; }
 
+  // A boolean --key (e.g. --json): reports presence and marks it read, so
+  // reject_unknown() stays quiet.
+  bool flag(const std::string& key) const {
+    if (!has(key)) return false;
+    consumed_[key] = true;
+    return true;
+  }
+
   std::string str(const std::string& key, const std::string& fallback) const;
   std::string required_str(const std::string& key) const;
   std::uint64_t u64(const std::string& key, std::uint64_t fallback) const;

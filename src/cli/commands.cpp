@@ -9,9 +9,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <map>
+#include <algorithm>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <tuple>
 
@@ -25,6 +25,7 @@
 #include "distributed/continuous.h"
 #include "distributed/faulty_channel.h"
 #include "distributed/runtime.h"
+#include "distributed/site_store.h"
 #include "durability/recovery.h"
 #include "freq/freq_sketch.h"
 #include "freq/universal_sketch.h"
@@ -46,13 +47,33 @@ namespace {
 // readable; new files are CRC32C-framed (common/frame.h).
 constexpr std::uint32_t kLegacySketchMagic = 0x454b5355;  // "USKE"
 
-void append(std::string& out, const char* format, ...) {
-  char buf[4096];  // --json lines carry per-copy byte arrays; keep headroom
+// printf onto the end of `out`, sized from vsnprintf's own count, so a
+// long line (a --json heavy-hitter table, a deep path) is never cut short.
+void vappendf(std::string& out, const char* format, va_list args) {
+  va_list sizing;
+  va_copy(sizing, args);
+  const int n = std::vsnprintf(nullptr, 0, format, sizing);
+  va_end(sizing);
+  if (n <= 0) return;
+  const std::size_t at = out.size();
+  out.resize(at + static_cast<std::size_t>(n) + 1);
+  std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1, format, args);
+  out.resize(at + static_cast<std::size_t>(n));
+}
+
+void appendf(std::string& out, const char* format, ...) {
   va_list args;
   va_start(args, format);
-  std::vsnprintf(buf, sizeof(buf), format, args);
+  vappendf(out, format, args);
   va_end(args);
-  out += buf;
+}
+
+// appendf plus a newline: one output line.
+void append(std::string& out, const char* format, ...) {
+  va_list args;
+  va_start(args, format);
+  vappendf(out, format, args);
+  va_end(args);
   out += '\n';
 }
 
@@ -67,9 +88,7 @@ std::string json_escape(const std::string& s) {
       case '\\': out += "\\\\"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c) & 0xff);
-          out += buf;
+          appendf(out, "\\u%04x", static_cast<unsigned>(c) & 0xff);
         } else {
           out += c;
         }
@@ -78,20 +97,11 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-// Consumes the boolean --json flag (so reject_unknown stays quiet) and
-// reports whether machine-readable output was requested.
-bool json_requested(const Args& args) {
-  const bool json = args.has("json");
-  if (json) args.str("json", "");
-  return json;
-}
-
-// Same idiom for the boolean --stats flag on serve/push: dump this
-// process's metrics registry as one JSON line on exit.
-bool stats_requested(const Args& args) {
-  const bool stats = args.has("stats");
-  if (stats) args.str("stats", "");
-  return stats;
+// --group G: the frame's group tag (0 = ungrouped).
+std::uint16_t parse_group(const Args& args) {
+  const std::uint64_t group = args.u64("group", 0);
+  USTREAM_REQUIRE(group <= 0xffff, "--group out of range (max 65535)");
+  return static_cast<std::uint16_t>(group);
 }
 
 // "HOST:PORT" as used by --to/--from/--upstream. The flag name is only for
@@ -205,6 +215,29 @@ bool parse_freq_call(const std::string& text, const char* name, std::uint64_t& v
   return true;
 }
 
+// [{"label":..,"estimate":..,"lower":..,"upper":..},...] for --json output.
+std::string hitters_json(const std::vector<FreqSketch::HeavyHitter>& hitters) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < hitters.size(); ++i) {
+    appendf(out, "%s{\"label\":%llu,\"estimate\":%llu,\"lower\":%llu,\"upper\":%llu}",
+            i > 0 ? "," : "", static_cast<unsigned long long>(hitters[i].label),
+            static_cast<unsigned long long>(hitters[i].estimate),
+            static_cast<unsigned long long>(hitters[i].lower),
+            static_cast<unsigned long long>(hitters[i].upper));
+  }
+  out += ']';
+  return out;
+}
+
+void append_hitter_lines(std::string& out, const std::vector<FreqSketch::HeavyHitter>& hitters) {
+  for (const auto& hh : hitters) {
+    append(out, "  label %llu: ~%llu in [%llu, %llu]", static_cast<unsigned long long>(hh.label),
+           static_cast<unsigned long long>(hh.estimate),
+           static_cast<unsigned long long>(hh.lower),
+           static_cast<unsigned long long>(hh.upper));
+  }
+}
+
 // Answers a top(k)/freq(label) expression against one (already merged)
 // freq sketch — shared by `query` over files and the freq referee's admin
 // /query endpoint.
@@ -215,54 +248,34 @@ std::string freq_query_answer(const FreqSketch& sketch, const std::string& text,
   if (parse_freq_call(text, "top", arg)) {
     const auto hitters = sketch.top(static_cast<std::size_t>(arg));
     if (as_json) {
-      out += "{\"query\":\"" + json_escape(text) + "\",\"f1\":" +
-             std::to_string(static_cast<unsigned long long>(sketch.items_processed())) +
-             ",\"hitters\":[";
-      for (std::size_t i = 0; i < hitters.size(); ++i) {
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      "%s{\"label\":%llu,\"estimate\":%llu,\"lower\":%llu,\"upper\":%llu}",
-                      i > 0 ? "," : "",
-                      static_cast<unsigned long long>(hitters[i].label),
-                      static_cast<unsigned long long>(hitters[i].estimate),
-                      static_cast<unsigned long long>(hitters[i].lower),
-                      static_cast<unsigned long long>(hitters[i].upper));
-        out += buf;
-      }
-      out += "]}\n";
+      append(out, "{\"query\":\"%s\",\"f1\":%llu,\"hitters\":%s}", json_escape(text).c_str(),
+             static_cast<unsigned long long>(sketch.items_processed()),
+             hitters_json(hitters).c_str());
     } else {
       append(out, "%s: %zu heavy hitters over %llu items", text.c_str(), hitters.size(),
              static_cast<unsigned long long>(sketch.items_processed()));
-      for (const auto& hh : hitters) {
-        append(out, "  label %llu: ~%llu in [%llu, %llu]",
-               static_cast<unsigned long long>(hh.label),
-               static_cast<unsigned long long>(hh.estimate),
-               static_cast<unsigned long long>(hh.lower),
-               static_cast<unsigned long long>(hh.upper));
-      }
+      append_hitter_lines(out, hitters);
     }
     return out;
   }
   if (parse_freq_call(text, "freq", arg)) {
     const auto bound = sketch.bound(arg);
     const std::uint64_t estimate = sketch.estimate(arg);
+    const bool tracked = sketch.heavy().contains(arg);
     if (as_json) {
-      char buf[192];
-      std::snprintf(buf, sizeof(buf),
-                    "{\"query\":\"%s\",\"label\":%llu,\"estimate\":%llu,"
-                    "\"lower\":%llu,\"upper\":%llu,\"tracked\":%s}\n",
-                    json_escape(text).c_str(), static_cast<unsigned long long>(arg),
-                    static_cast<unsigned long long>(estimate),
-                    static_cast<unsigned long long>(bound.lower),
-                    static_cast<unsigned long long>(bound.upper),
-                    sketch.heavy().contains(arg) ? "true" : "false");
-      out += buf;
+      append(out,
+             "{\"query\":\"%s\",\"label\":%llu,\"estimate\":%llu,"
+             "\"lower\":%llu,\"upper\":%llu,\"tracked\":%s}",
+             json_escape(text).c_str(), static_cast<unsigned long long>(arg),
+             static_cast<unsigned long long>(estimate),
+             static_cast<unsigned long long>(bound.lower),
+             static_cast<unsigned long long>(bound.upper), tracked ? "true" : "false");
     } else {
       append(out, "%s: ~%llu in [%llu, %llu]%s", text.c_str(),
              static_cast<unsigned long long>(estimate),
              static_cast<unsigned long long>(bound.lower),
              static_cast<unsigned long long>(bound.upper),
-             sketch.heavy().contains(arg) ? "" : " (untracked: upper is the absent bound)");
+             tracked ? "" : " (untracked: upper is the absent bound)");
     }
     return out;
   }
@@ -275,9 +288,7 @@ int cmd_sketch_freq(const Args& args, bool universal, std::string& out) {
   const std::string in = args.required_str("in");
   const std::string out_path = args.required_str("out");
   const std::uint64_t seed = args.u64("seed", 0x5eed0123456789abULL);
-  const std::uint64_t group_raw = args.u64("group", 0);
-  USTREAM_REQUIRE(group_raw <= 0xffff, "--group out of range (max 65535)");
-  const auto group = static_cast<std::uint16_t>(group_raw);
+  const std::uint16_t group = parse_group(args);
   const std::size_t depth = args.u64("depth", 4);
   const std::size_t width_log2 = args.u64("width-log2", universal ? 10 : 12);
   const std::size_t heavy = args.u64("heavy", universal ? 32 : 64);
@@ -288,13 +299,8 @@ int cmd_sketch_freq(const Args& args, bool universal, std::string& out) {
   labels.reserve(items.size());
   for (const Item& item : items) labels.push_back(item.label);
   if (universal) {
-    UniversalConfig config;
-    config.levels = levels;
-    config.depth = depth;
-    config.width_log2 = width_log2;
-    config.heavy_capacity = heavy;
-    config.seed = seed;
-    UniversalSketch sketch(config);
+    UniversalSketch sketch({.levels = levels, .depth = depth, .width_log2 = width_log2,
+                            .heavy_capacity = heavy, .seed = seed});
     sketch.add_batch(labels);
     write_framed_payload(out_path, PayloadKind::kUniversalSketch, sketch.serialize(), group);
     append(out,
@@ -303,12 +309,8 @@ int cmd_sketch_freq(const Args& args, bool universal, std::string& out) {
            items.size(), in.c_str(), out_path.c_str(), read_file(out_path).size(),
            sketch.levels(), sketch.f1(), sketch.f2(), sketch.entropy());
   } else {
-    FreqConfig config;
-    config.depth = depth;
-    config.width_log2 = width_log2;
-    config.heavy_capacity = heavy;
-    config.seed = seed;
-    FreqSketch sketch(config);
+    FreqSketch sketch({.depth = depth, .width_log2 = width_log2, .heavy_capacity = heavy,
+                       .seed = seed});
     sketch.add_batch(labels);
     write_framed_payload(out_path, PayloadKind::kFreqSketch, sketch.serialize(), group);
     append(out,
@@ -332,9 +334,7 @@ int cmd_sketch(const Args& args, std::string& out) {
   const double eps = args.f64("eps", 0.1);
   const double delta = args.f64("delta", 0.05);
   const std::uint64_t seed = args.u64("seed", 0x5eed0123456789abULL);
-  const std::uint64_t group_raw = args.u64("group", 0);
-  USTREAM_REQUIRE(group_raw <= 0xffff, "--group out of range (max 65535)");
-  const auto group = static_cast<std::uint16_t>(group_raw);
+  const std::uint16_t group = parse_group(args);
   args.reject_unknown();
   F0Estimator estimator(EstimatorParams::for_guarantee(eps, delta, seed));
   const auto items = read_trace(in);
@@ -373,6 +373,14 @@ void require_uniform_kinds(const std::vector<std::string>& paths) {
   }
 }
 
+// The files' sketches folded in order — the referee's site-order fold.
+template <typename Sketch>
+Sketch merge_files(const std::vector<std::string>& paths, Sketch (*read)(const std::string&)) {
+  Sketch merged = read(paths[0]);
+  for (std::size_t i = 1; i < paths.size(); ++i) merged.merge(read(paths[i]));
+  return merged;
+}
+
 int cmd_merge(const Args& args, std::string& out) {
   const std::string out_path = args.required_str("out");
   args.reject_unknown();
@@ -381,8 +389,7 @@ int cmd_merge(const Args& args, std::string& out) {
   require_uniform_kinds(inputs);
   const PayloadKind kind = framed_kind_of(inputs[0]);
   if (kind == PayloadKind::kFreqSketch) {
-    FreqSketch merged = read_freq_file(inputs[0]);
-    for (std::size_t i = 1; i < inputs.size(); ++i) merged.merge(read_freq_file(inputs[i]));
+    const FreqSketch merged = merge_files(inputs, read_freq_file);
     write_framed_payload(out_path, PayloadKind::kFreqSketch, merged.serialize());
     append(out, "merged %zu freq sketches -> %s (%llu items, %zu tracked heavy labels)",
            inputs.size(), out_path.c_str(),
@@ -391,19 +398,13 @@ int cmd_merge(const Args& args, std::string& out) {
     return 0;
   }
   if (kind == PayloadKind::kUniversalSketch) {
-    UniversalSketch merged = read_universal_file(inputs[0]);
-    for (std::size_t i = 1; i < inputs.size(); ++i) {
-      merged.merge(read_universal_file(inputs[i]));
-    }
+    const UniversalSketch merged = merge_files(inputs, read_universal_file);
     write_framed_payload(out_path, PayloadKind::kUniversalSketch, merged.serialize());
     append(out, "merged %zu universal sketches -> %s (f1 %.0f, f2 %.4g, entropy %.3f bits)",
            inputs.size(), out_path.c_str(), merged.f1(), merged.f2(), merged.entropy());
     return 0;
   }
-  F0Estimator merged = read_sketch_file(inputs[0]);
-  for (std::size_t i = 1; i < inputs.size(); ++i) {
-    merged.merge(read_sketch_file(inputs[i]));
-  }
+  const F0Estimator merged = merge_files(inputs, read_sketch_file);
   write_sketch_file(out_path, merged);
   append(out, "merged %zu sketches -> %s (union estimate %.0f)", inputs.size(),
          out_path.c_str(), merged.estimate());
@@ -411,7 +412,7 @@ int cmd_merge(const Args& args, std::string& out) {
 }
 
 int cmd_estimate(const Args& args, std::string& out) {
-  const bool json = json_requested(args);
+  const bool json = args.flag("json");
   args.reject_unknown();
   USTREAM_REQUIRE(!args.positional().empty(), "estimate needs a sketch file");
   require_uniform_kinds(args.positional());
@@ -478,98 +479,67 @@ int cmd_exact(const Args& args, std::string& out) {
 // in-memory footprint — capacity planning without a debugger.
 std::string footprint_json(const F0Estimator& est) {
   std::string out;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"state_bytes\":%zu,\"memory_bytes\":%zu,\"copy_bytes\":[",
-                est.serialize().size(), est.bytes_used());
-  out += buf;
+  appendf(out, "\"state_bytes\":%zu,\"memory_bytes\":%zu,\"copy_bytes\":[",
+          est.serialize().size(), est.bytes_used());
   for (std::size_t i = 0; i < est.num_copies(); ++i) {
-    if (i > 0) out += ',';
-    std::snprintf(buf, sizeof(buf), "%zu", est.copy(i).serialize().size());
-    out += buf;
+    appendf(out, "%s%zu", i > 0 ? "," : "", est.copy(i).serialize().size());
   }
   out += ']';
   return out;
 }
 
 int cmd_info(const Args& args, std::string& out) {
-  const bool json = json_requested(args);
+  const bool json = args.flag("json");
   args.reject_unknown();
   USTREAM_REQUIRE(!args.positional().empty(), "info needs at least one file");
   for (const auto& path : args.positional()) {
     const auto bytes = read_file(path);
     if (looks_like_frame(bytes)) {
       const Frame frame = frame_decode(bytes);  // validates CRC before parsing
+      const std::span<const std::uint8_t> payload(frame.payload);
+      std::string details_json, details_text;  // per kind, after the frame facts
       if (frame.header.kind == PayloadKind::kFreqSketch) {
-        const FreqSketch est =
-            FreqSketch::deserialize(std::span<const std::uint8_t>(frame.payload));
-        if (json) {
-          append(out,
-                 "{\"file\":\"%s\",\"format\":\"framed-sketch\",\"kind\":\"%s\","
-                 "\"site\":%u,\"epoch\":%u,\"bytes\":%zu,\"payload_bytes\":%zu,"
-                 "\"depth\":%zu,\"width\":%zu,\"heavy_capacity\":%zu,"
-                 "\"tracked\":%zu,\"seed\":%llu}",
-                 json_escape(path).c_str(), payload_kind_name(frame.header.kind),
-                 frame.header.site, frame.header.epoch, bytes.size(), frame.payload.size(),
-                 est.count_sketch().depth(), est.count_sketch().width(),
-                 est.heavy().capacity(), est.heavy().size(),
-                 static_cast<unsigned long long>(est.config().seed));
-        } else {
-          append(out,
-                 "%s: framed sketch (%s, site %u, epoch %u, crc ok), %zu bytes "
-                 "(%zu payload), %zux%zu counters + %zu/%zu heavy slots, seed %llu",
-                 path.c_str(), payload_kind_name(frame.header.kind), frame.header.site,
-                 frame.header.epoch, bytes.size(), frame.payload.size(),
-                 est.count_sketch().depth(), est.count_sketch().width(),
-                 est.heavy().size(), est.heavy().capacity(),
-                 static_cast<unsigned long long>(est.config().seed));
-        }
-        continue;
+        const FreqSketch est = FreqSketch::deserialize(payload);
+        appendf(details_json,
+                "\"depth\":%zu,\"width\":%zu,\"heavy_capacity\":%zu,\"tracked\":%zu,"
+                "\"seed\":%llu",
+                est.count_sketch().depth(), est.count_sketch().width(), est.heavy().capacity(),
+                est.heavy().size(), static_cast<unsigned long long>(est.config().seed));
+        appendf(details_text, "%zux%zu counters + %zu/%zu heavy slots, seed %llu",
+                est.count_sketch().depth(), est.count_sketch().width(), est.heavy().size(),
+                est.heavy().capacity(), static_cast<unsigned long long>(est.config().seed));
+      } else if (frame.header.kind == PayloadKind::kUniversalSketch) {
+        const UniversalConfig c = UniversalSketch::deserialize(payload).config();
+        appendf(details_json,
+                "\"levels\":%zu,\"depth\":%zu,\"width\":%zu,\"heavy_capacity\":%zu,"
+                "\"seed\":%llu",
+                c.levels, c.depth, std::size_t{1} << c.width_log2, c.heavy_capacity,
+                static_cast<unsigned long long>(c.seed));
+        appendf(details_text, "%zu levels of %zux%zu counters + %zu heavy slots, seed %llu",
+                c.levels, c.depth, std::size_t{1} << c.width_log2, c.heavy_capacity,
+                static_cast<unsigned long long>(c.seed));
+      } else {
+        const F0Estimator est = read_sketch_file(path);
+        appendf(details_json, "\"copies\":%zu,\"capacity\":%zu,\"seed\":%llu,%s",
+                est.params().copies, est.params().capacity,
+                static_cast<unsigned long long>(est.params().seed),
+                footprint_json(est).c_str());
+        appendf(details_text, "%zu copies x capacity %zu, seed %llu", est.params().copies,
+                est.params().capacity, static_cast<unsigned long long>(est.params().seed));
       }
-      if (frame.header.kind == PayloadKind::kUniversalSketch) {
-        const UniversalSketch est =
-            UniversalSketch::deserialize(std::span<const std::uint8_t>(frame.payload));
-        if (json) {
-          append(out,
-                 "{\"file\":\"%s\",\"format\":\"framed-sketch\",\"kind\":\"%s\","
-                 "\"site\":%u,\"epoch\":%u,\"bytes\":%zu,\"payload_bytes\":%zu,"
-                 "\"levels\":%zu,\"depth\":%zu,\"width\":%zu,\"heavy_capacity\":%zu,"
-                 "\"seed\":%llu}",
-                 json_escape(path).c_str(), payload_kind_name(frame.header.kind),
-                 frame.header.site, frame.header.epoch, bytes.size(), frame.payload.size(),
-                 est.levels(), est.config().depth,
-                 std::size_t{1} << est.config().width_log2, est.config().heavy_capacity,
-                 static_cast<unsigned long long>(est.config().seed));
-        } else {
-          append(out,
-                 "%s: framed sketch (%s, site %u, epoch %u, crc ok), %zu bytes "
-                 "(%zu payload), %zu levels of %zux%zu counters + %zu heavy slots, "
-                 "seed %llu",
-                 path.c_str(), payload_kind_name(frame.header.kind), frame.header.site,
-                 frame.header.epoch, bytes.size(), frame.payload.size(), est.levels(),
-                 est.config().depth, std::size_t{1} << est.config().width_log2,
-                 est.config().heavy_capacity,
-                 static_cast<unsigned long long>(est.config().seed));
-        }
-        continue;
-      }
-      const F0Estimator est = read_sketch_file(path);
       if (json) {
         append(out,
                "{\"file\":\"%s\",\"format\":\"framed-sketch\",\"kind\":\"%s\","
-               "\"site\":%u,\"epoch\":%u,\"bytes\":%zu,\"payload_bytes\":%zu,"
-               "\"copies\":%zu,\"capacity\":%zu,\"seed\":%llu,%s}",
+               "\"site\":%u,\"epoch\":%u,\"bytes\":%zu,\"payload_bytes\":%zu,%s}",
                json_escape(path).c_str(), payload_kind_name(frame.header.kind),
                frame.header.site, frame.header.epoch, bytes.size(), frame.payload.size(),
-               est.params().copies, est.params().capacity,
-               static_cast<unsigned long long>(est.params().seed),
-               footprint_json(est).c_str());
+               details_json.c_str());
       } else {
         append(out,
                "%s: framed sketch (%s, site %u, epoch %u, crc ok), %zu bytes "
-               "(%zu payload), %zu copies x capacity %zu, seed %llu",
+               "(%zu payload), %s",
                path.c_str(), payload_kind_name(frame.header.kind), frame.header.site,
-               frame.header.epoch, bytes.size(), frame.payload.size(), est.params().copies,
-               est.params().capacity, static_cast<unsigned long long>(est.params().seed));
+               frame.header.epoch, bytes.size(), frame.payload.size(), details_text.c_str());
       }
       continue;
     }
@@ -674,226 +644,214 @@ int cmd_collect(const Args& args, std::string& out) {
   return report.complete() ? 0 : 3;
 }
 
-// The referee as a real server: bind a TCP port, collect one framed sketch
-// per site (retry/dedup/quarantine via CollectState, exactly as in-process
-// collection), merge on the parallel MergeEngine and report the union
-// estimate. This is the first half of the multi-process deployment of the
-// paper's protocol; `ustream push` is the other half.
-// `serve --kind freq`: the same TCP referee, collecting one kFreqSketch
-// frame per site. The union summary is the componentwise merge (counter
-// addition + interval-sum space-saver union); because that merge is
-// associative, 1-shard and 4-shard collections of the same site set are
-// byte-identical. The admin /query endpoint answers top(K)/freq(LABEL)
-// against the live store, and the report carries a heavy-hitter table.
-int cmd_serve_freq(const Args& args, std::string& out) {
+// site:N / group:G operands over a sketch store: slot N, or the store's
+// cached union of group G. Shared by live /query and `query` over files.
+query::ResolveSketch store_resolver(const SiteSketchStore<F0Estimator>::View& view) {
+  return [&view](const query::Expr& leaf) -> const F0Estimator* {
+    if (leaf.operand == query::OperandKind::kSite) return view.site(leaf.id);
+    if (leaf.operand == query::OperandKind::kGroup) {
+      return view.group(static_cast<std::uint16_t>(leaf.id));
+    }
+    return nullptr;
+  };
+}
+
+// Written after bind, before the event loop: a script that waits for the
+// file can start pushing immediately.
+void write_port_file(const std::string& path, std::uint16_t port) {
+  if (path.empty()) return;
+  const std::string text = std::to_string(port) + "\n";
+  write_file(path, std::vector<std::uint8_t>(text.begin(), text.end()));
+}
+
+// The flags every serve kind shares.
+struct ServeOptions {
   net::RefereeServerConfig config;
+  std::string out_path;
+  std::string port_file;
+  std::string admin_port_file;
+  std::string fsync_name;
+  bool json = false;
+  bool stats = false;
+};
+
+ServeOptions parse_serve_options(const Args& args) {
+  ServeOptions o;
+  net::RefereeServerConfig& config = o.config;
   config.bind_host = args.str("bind", "127.0.0.1");
   config.port = static_cast<std::uint16_t>(args.u64("port", 0));
   config.sites = args.u64("sites", 1);
   config.shards = args.u64("shards", 1);
   config.timeout = std::chrono::milliseconds(args.u64("timeout-ms", 0));
-  config.expected_kind = PayloadKind::kFreqSketch;
-  USTREAM_REQUIRE(!args.has("continuous") && !args.has("relay"),
-                  "serve --kind freq does not support --continuous or --relay");
-  const std::uint64_t top_k = args.u64("top", 10);
-  const std::string out_path = args.str("out", "");
-  const std::string port_file = args.str("port-file", "");
+  o.out_path = args.str("out", "");
+  o.port_file = args.str("port-file", "");
   if (args.has("admin-port")) {
     config.admin_port = static_cast<std::uint16_t>(args.u64("admin-port", 0));
   }
-  const std::string admin_port_file = args.str("admin-port-file", "");
-  if (!admin_port_file.empty() && !config.admin_port.has_value()) {
+  o.admin_port_file = args.str("admin-port-file", "");
+  if (!o.admin_port_file.empty() && !config.admin_port.has_value()) {
     config.admin_port = 0;  // asking for the file implies the endpoint
   }
-  const std::string wal_dir = args.str("wal-dir", "");
-  const std::string fsync_name = args.str("fsync", "interval");
-  const std::uint64_t fsync_interval_ms = args.u64("fsync-interval-ms", 50);
-  const std::uint64_t snapshot_every = args.u64("snapshot-every", 0);
-  const std::uint64_t segment_mb = args.u64("segment-mb", 64);
-  const bool recover = args.has("recover");
-  if (recover) args.str("recover", "");
-  USTREAM_REQUIRE(!recover || !wal_dir.empty(), "--recover needs --wal-dir DIR");
-  if (!wal_dir.empty()) {
-    net::RefereeServerConfig::Durability wal;
-    wal.dir = wal_dir;
-    wal.fsync = durability::parse_fsync_policy(fsync_name);
-    wal.fsync_interval = std::chrono::milliseconds(fsync_interval_ms);
-    wal.snapshot_every = snapshot_every;
-    wal.segment_bytes = segment_mb << 20;
-    wal.recover = recover;
-    config.wal = wal;
-  }
-  const bool json = json_requested(args);
-  const bool stats = stats_requested(args);
-  args.reject_unknown();
+  // Durability (DESIGN.md §11): --wal-dir turns on the write-ahead frame
+  // log (acked implies logged); --recover replays that dir first so a
+  // killed referee resumes instead of starting over.
+  o.fsync_name = args.str("fsync", "interval");
+  const net::RefereeServerConfig::Durability wal{
+      .dir = args.str("wal-dir", ""),
+      .fsync = durability::parse_fsync_policy(o.fsync_name),
+      .fsync_interval = std::chrono::milliseconds(args.u64("fsync-interval-ms", 50)),
+      .segment_bytes = args.u64("segment-mb", 64) << 20,
+      .snapshot_every = args.u64("snapshot-every", 0),
+      .recover = args.flag("recover")};
+  USTREAM_REQUIRE(!wal.recover || !wal.dir.empty(), "--recover needs --wal-dir DIR");
+  if (!wal.dir.empty()) config.wal = wal;
+  o.json = args.flag("json");
+  o.stats = args.flag("stats");
+  return o;
+}
 
-  struct FreqStore {
-    std::mutex mu;
-    std::vector<std::optional<FreqSketch>> sketches;
-  } store;
-  store.sketches.resize(config.sites);
-  config.query_handler = [&store](const std::string& raw, bool as_json) {
+// What a sketch kind plugs into the one referee: its /query answer over
+// the live store, an optional hook after every accepted frame, and the
+// end-of-run step that reduces the slots and appends the union's JSON
+// fields and report lines.
+template <typename Sketch>
+struct ServeKind {
+  using View = typename SiteSketchStore<Sketch>::View;
+  using Slots = typename SiteSketchStore<Sketch>::Slots;
+  std::function<std::string(const View&, const std::string& text, bool json)> answer;
+  std::function<void(SiteSketchStore<Sketch>&)> accepted;
+  std::function<void(Slots&&, const CollectReport&, std::string& json, std::string& text)>
+      finish;
+};
+
+// The referee as a real server: bind a TCP port, collect one framed sketch
+// per site (retry/dedup/quarantine via CollectState, exactly as in-process
+// collection) into a SiteSketchStore, merge the slots on the parallel
+// MergeEngine and report. This is the first half of the multi-process
+// deployment of the paper's protocol; `ustream push` is the other half.
+template <typename Sketch>
+int serve(ServeOptions& o, const ServeKind<Sketch>& kind, std::string& out) {
+  SiteSketchStore<Sketch> store(o.config.sites);
+  // The admin /query handler runs on shard 0's loop while the sink fires
+  // under the arbiter mutex; the store's own mutex orders the two.
+  o.config.query_handler = [&store, &kind](const std::string& raw, bool as_json) {
     const std::string text = query::percent_decode(raw);
-    std::lock_guard<std::mutex> lock(store.mu);
-    std::optional<FreqSketch> merged;
-    for (const auto& s : store.sketches) {
-      if (!s.has_value()) continue;
-      if (!merged.has_value()) {
-        merged = *s;
-      } else {
-        merged->merge(*s);
-      }
-    }
-    USTREAM_REQUIRE(merged.has_value(), "no freq sketches collected yet");
-    return freq_query_answer(*merged, text, as_json);
+    return store.read([&](const auto& view) { return kind.answer(view, text, as_json); });
   };
-
-  net::RefereeServer server(std::move(config));
-  if (!port_file.empty()) {
-    const std::string port_text = std::to_string(server.port()) + "\n";
-    write_file(port_file, std::vector<std::uint8_t>(port_text.begin(), port_text.end()));
-  }
-  if (!admin_port_file.empty()) {
-    const std::string port_text = std::to_string(*server.admin_port()) + "\n";
-    write_file(admin_port_file,
-               std::vector<std::uint8_t>(port_text.begin(), port_text.end()));
-  }
-  net::RefereeServer::Result res = server.run(
-      [&store](std::size_t site, std::uint32_t, std::uint16_t, PayloadKind /*kind*/,
-               std::vector<std::uint8_t>&& payload) {
-        try {
-          FreqSketch est = FreqSketch::deserialize(std::span<const std::uint8_t>(payload));
-          std::lock_guard<std::mutex> lock(store.mu);
-          for (const auto& m : store.sketches) {
-            if (m.has_value() && !m->can_merge_with(est)) return false;
-          }
-          store.sketches[site] = std::move(est);
-          return true;
-        } catch (const SerializationError&) {
-          return false;
-        }
+  net::RefereeServer server(o.config);
+  write_port_file(o.port_file, server.port());
+  if (server.admin_port()) write_port_file(o.admin_port_file, *server.admin_port());
+  const net::RefereeServer::Result res =
+      server.run([&store, &kind](std::size_t site, std::uint32_t, std::uint16_t group,
+                                 PayloadKind k, std::vector<std::uint8_t>&& payload) {
+        if (!store.accept(site, group, k, payload)) return false;
+        if (kind.accepted) kind.accepted(store);
+        return true;
       });
-  std::optional<FreqSketch> merged;
-  {
-    std::lock_guard<std::mutex> lock(store.mu);
-    merged = MergeEngine::shared().reduce(std::move(store.sketches));
-  }
   const CollectReport& report = res.report;
-  std::vector<FreqSketch::HeavyHitter> hitters;
-  if (merged.has_value()) hitters = merged->top(static_cast<std::size_t>(top_k));
-  if (!out_path.empty() && merged.has_value()) {
-    write_framed_payload(out_path, PayloadKind::kFreqSketch, merged->serialize());
-  }
-  if (json) {
-    std::string hitters_json = "[";
-    for (std::size_t i = 0; i < hitters.size(); ++i) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "%s{\"label\":%llu,\"estimate\":%llu,\"lower\":%llu,\"upper\":%llu}",
-                    i > 0 ? "," : "", static_cast<unsigned long long>(hitters[i].label),
-                    static_cast<unsigned long long>(hitters[i].estimate),
-                    static_cast<unsigned long long>(hitters[i].lower),
-                    static_cast<unsigned long long>(hitters[i].upper));
-      hitters_json += buf;
+  const auto& wal = res.durability;
+  std::string kind_json, kind_text;
+  kind.finish(store.take_slots(), report, kind_json, kind_text);
+
+  if (o.json) {
+    std::string line;
+    appendf(line,
+            "{\"port\":%u,\"admin_port\":%u,\"kind\":\"%s\",\"sites_total\":%zu,"
+            "\"sites_reported\":%zu,\"degraded\":%s,\"timed_out\":%s%s,"
+            "\"attempts\":%llu,\"retries\":%llu,\"frames_quarantined\":%llu,"
+            "\"duplicates_dropped\":%llu,\"stale_dropped\":%llu,"
+            "\"deltas_applied\":%llu,\"resyncs\":%llu,"
+            "\"wire_frames\":%llu,\"wire_bytes\":%llu,\"shards\":[",
+            server.port(), server.admin_port().value_or(0),
+            payload_kind_name(o.config.expected_kind), report.sites_total,
+            report.sites_reported, report.degraded() ? "true" : "false",
+            res.timed_out ? "true" : "false", kind_json.c_str(),
+            static_cast<unsigned long long>(report.total_attempts()),
+            static_cast<unsigned long long>(report.retries),
+            static_cast<unsigned long long>(report.frames_quarantined),
+            static_cast<unsigned long long>(report.duplicates_dropped),
+            static_cast<unsigned long long>(report.stale_dropped),
+            static_cast<unsigned long long>(report.deltas_applied),
+            static_cast<unsigned long long>(report.resyncs),
+            static_cast<unsigned long long>(res.wire.messages),
+            static_cast<unsigned long long>(res.wire.total_bytes));
+    for (std::size_t k = 0; k < res.shards.size(); ++k) {
+      const auto& shard = res.shards[k];
+      appendf(line, "%s{\"sites_reported\":%zu,\"wire_frames\":%llu,\"wire_bytes\":%llu}",
+              k > 0 ? "," : "", shard.report.sites_reported,
+              static_cast<unsigned long long>(shard.wire.messages),
+              static_cast<unsigned long long>(shard.wire.total_bytes));
     }
-    hitters_json += ']';
-    std::string wal_json;
-    if (res.durability.enabled) {
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    ",\"wal\":{\"records\":%llu,\"bytes\":%llu,\"fsyncs\":%llu,"
-                    "\"snapshots\":%llu,\"recovered_sites\":%zu,"
-                    "\"frames_replayed\":%llu}",
-                    static_cast<unsigned long long>(res.durability.records_logged),
-                    static_cast<unsigned long long>(res.durability.bytes_logged),
-                    static_cast<unsigned long long>(res.durability.fsyncs),
-                    static_cast<unsigned long long>(res.durability.snapshots),
-                    res.durability.sites_recovered,
-                    static_cast<unsigned long long>(res.durability.frames_replayed));
-      wal_json = buf;
+    line += ']';
+    if (wal.enabled) {
+      appendf(line,
+              ",\"wal\":{\"records\":%llu,\"bytes\":%llu,\"fsyncs\":%llu,"
+              "\"snapshots\":%llu,\"recovered_sites\":%zu,\"frames_replayed\":%llu}",
+              static_cast<unsigned long long>(wal.records_logged),
+              static_cast<unsigned long long>(wal.bytes_logged),
+              static_cast<unsigned long long>(wal.fsyncs),
+              static_cast<unsigned long long>(wal.snapshots), wal.sites_recovered,
+              static_cast<unsigned long long>(wal.frames_replayed));
     }
-    append(out,
-           "{\"port\":%u,\"admin_port\":%u,\"kind\":\"freq-sketch\","
-           "\"sites_total\":%zu,\"sites_reported\":%zu,\"degraded\":%s,"
-           "\"timed_out\":%s,\"f1\":%llu,\"f2\":%.17g,\"tracked\":%zu,"
-           "\"absent_bound\":%llu,\"heavy_hitters\":%s,"
-           "\"wire_frames\":%llu,\"wire_bytes\":%llu%s}",
-           server.port(), server.admin_port().value_or(0), report.sites_total,
-           report.sites_reported, report.degraded() ? "true" : "false",
-           res.timed_out ? "true" : "false",
-           static_cast<unsigned long long>(merged ? merged->items_processed() : 0),
-           merged ? merged->f2() : 0.0, merged ? merged->heavy().size() : 0,
-           static_cast<unsigned long long>(merged ? merged->heavy().absent_bound() : 0),
-           hitters_json.c_str(), static_cast<unsigned long long>(res.wire.messages),
-           static_cast<unsigned long long>(res.wire.total_bytes), wal_json.c_str());
+    out += line + "}\n";
   } else {
-    append(out, "listening on %s:%u for %zu freq sites (%zu shard%s)",
-           args.str("bind", "127.0.0.1").c_str(), server.port(), report.sites_total,
-           server.shards(), server.shards() == 1 ? "" : "s");
+    append(out, "listening on %s:%u for %zu %s sites (%zu shard%s)",
+           o.config.bind_host.c_str(), server.port(), report.sites_total,
+           payload_kind_name(o.config.expected_kind), server.shards(),
+           server.shards() == 1 ? "" : "s");
     out += report.summary();
     out += '\n';
-    if (merged.has_value()) {
-      append(out, "union: %llu items, f2 %.4g, %zu tracked heavy labels%s",
-             static_cast<unsigned long long>(merged->items_processed()), merged->f2(),
-             merged->heavy().size(), report.degraded() ? " [DEGRADED: lower bound]" : "");
-      for (const auto& hh : hitters) {
-        append(out, "  label %llu: ~%llu in [%llu, %llu]",
-               static_cast<unsigned long long>(hh.label),
-               static_cast<unsigned long long>(hh.estimate),
-               static_cast<unsigned long long>(hh.lower),
-               static_cast<unsigned long long>(hh.upper));
+    out += kind_text;
+    append(out, "wire: %llu frames, %llu bytes (mean %.0f/frame)",
+           static_cast<unsigned long long>(res.wire.messages),
+           static_cast<unsigned long long>(res.wire.total_bytes),
+           res.wire.mean_message_bytes());
+    if (server.shards() > 1) {
+      for (std::size_t k = 0; k < res.shards.size(); ++k) {
+        const auto& shard = res.shards[k];
+        append(out, "shard %zu: %zu sites, %llu frames, %llu bytes", k,
+               shard.report.sites_reported,
+               static_cast<unsigned long long>(shard.wire.messages),
+               static_cast<unsigned long long>(shard.wire.total_bytes));
       }
-    } else {
-      append(out, "union: no freq sketches collected");
     }
-    if (res.durability.enabled) {
-      if (recover) append(out, "%s", res.durability.recovery_summary.c_str());
+    if (wal.enabled) {
+      if (wal.recovered) append(out, "%s", wal.recovery_summary.c_str());
       append(out, "wal: %llu records, %llu bytes, %llu fsyncs, %llu snapshots "
                   "(fsync %s) in %s",
-             static_cast<unsigned long long>(res.durability.records_logged),
-             static_cast<unsigned long long>(res.durability.bytes_logged),
-             static_cast<unsigned long long>(res.durability.fsyncs),
-             static_cast<unsigned long long>(res.durability.snapshots),
-             fsync_name.c_str(), wal_dir.c_str());
-    }
-    if (!out_path.empty() && merged.has_value()) {
-      append(out, "wrote union freq sketch to %s", out_path.c_str());
+             static_cast<unsigned long long>(wal.records_logged),
+             static_cast<unsigned long long>(wal.bytes_logged),
+             static_cast<unsigned long long>(wal.fsyncs),
+             static_cast<unsigned long long>(wal.snapshots), o.fsync_name.c_str(),
+             o.config.wal->dir.c_str());
     }
   }
-  if (stats) out += obs::render_json(obs::default_registry().snapshot()) + "\n";
+  if (o.stats) out += obs::render_json(obs::default_registry().snapshot()) + "\n";
   return report.complete() ? 0 : 3;
 }
 
-int cmd_serve(const Args& args, std::string& out) {
-  const std::string serve_kind = args.str("kind", "f0");
-  if (serve_kind == "freq") return cmd_serve_freq(args, out);
-  USTREAM_REQUIRE(serve_kind == "f0", "serve --kind must be f0 or freq");
-  net::RefereeServerConfig config;
-  config.bind_host = args.str("bind", "127.0.0.1");
-  config.port = static_cast<std::uint16_t>(args.u64("port", 0));
-  config.sites = args.u64("sites", 1);
-  config.shards = args.u64("shards", 1);
-  config.timeout = std::chrono::milliseconds(args.u64("timeout-ms", 0));
+// `serve` over F0 sketches: one-shot snapshot collection, or --continuous
+// delta chains with a live estimate gauge, optionally relaying the merged
+// union upstream.
+ServeKind<F0Estimator> f0_serve_kind(const Args& args, ServeOptions& o) {
   // Continuous mode (DESIGN.md §12): latest-wins collection that accepts
   // kF0Delta chain frames, keeps a live per-site mirror set, and exports
   // the running union estimate as the ustream_referee_live_estimate gauge
   // (watch it move with `ustream stats --watch`). The server runs to the
   // deadline — completion never ends a continuous collection.
-  const bool continuous = args.has("continuous");
+  const bool continuous = args.flag("continuous");
   if (continuous) {
-    args.str("continuous", "");
-    USTREAM_REQUIRE(config.timeout.count() > 0,
+    USTREAM_REQUIRE(o.config.timeout.count() > 0,
                     "--continuous needs --timeout-ms N (the run ends at the deadline)");
-    config.dedup = DedupMode::kLatestWins;
-    config.delta_kind = PayloadKind::kF0Delta;
-    config.continuous = true;
+    o.config.dedup = DedupMode::kLatestWins;
+    o.config.delta_kind = PayloadKind::kF0Delta;
+    o.config.continuous = true;
   }
   // Relay mode (DESIGN.md §10.3): this referee collects a SUBTREE of sites,
   // merges locally, and pushes the one merged sketch frame upstream —
   // composing referees into a fan-in tree. The upstream referee sees this
   // whole subtree as a single site (--relay-site) with --relay-epoch.
-  const bool relay = args.has("relay");
-  if (relay) args.str("relay", "");
+  const bool relay = args.flag("relay");
   const std::string upstream = args.str("upstream", "");
   const std::size_t relay_site = args.u64("relay-site", 0);
   const auto relay_epoch = static_cast<std::uint32_t>(args.u64("relay-epoch", 0));
@@ -903,319 +861,132 @@ int cmd_serve(const Args& args, std::string& out) {
   const double eps = args.f64("eps", 0.1);
   const double delta = args.f64("delta", 0.05);
   const std::uint64_t seed = args.u64("seed", 0x5eed0123456789abULL);
-  const std::string out_path = args.str("out", "");
-  const std::string port_file = args.str("port-file", "");
-  if (args.has("admin-port")) {
-    config.admin_port = static_cast<std::uint16_t>(args.u64("admin-port", 0));
-  }
-  const std::string admin_port_file = args.str("admin-port-file", "");
-  if (!admin_port_file.empty() && !config.admin_port.has_value()) {
-    config.admin_port = 0;  // asking for the file implies the endpoint
-  }
-  // Durability (DESIGN.md §11): --wal-dir turns on the write-ahead frame
-  // log (acked implies logged); --recover replays that dir first so a
-  // killed referee resumes instead of starting over.
-  const std::string wal_dir = args.str("wal-dir", "");
-  const std::string fsync_name = args.str("fsync", "interval");
-  const std::uint64_t fsync_interval_ms = args.u64("fsync-interval-ms", 50);
-  const std::uint64_t snapshot_every = args.u64("snapshot-every", 0);
-  const std::uint64_t segment_mb = args.u64("segment-mb", 64);
-  const bool recover = args.has("recover");
-  if (recover) args.str("recover", "");
-  USTREAM_REQUIRE(!recover || !wal_dir.empty(), "--recover needs --wal-dir DIR");
-  if (!wal_dir.empty()) {
-    net::RefereeServerConfig::Durability wal;
-    wal.dir = wal_dir;
-    wal.fsync = durability::parse_fsync_policy(fsync_name);
-    wal.fsync_interval = std::chrono::milliseconds(fsync_interval_ms);
-    wal.snapshot_every = snapshot_every;
-    wal.segment_bytes = segment_mb << 20;
-    wal.recover = recover;
-    config.wal = wal;
-  }
-  const bool json = json_requested(args);
-  const bool stats = stats_requested(args);
-  args.reject_unknown();
 
-  // Live per-site sketch store: the payload sink fills it under the shared
-  // arbiter mutex while the admin /query handler reads it from shard 0's
-  // event loop thread, so every access takes the store mutex. Group tags
-  // ride along so `group:G` operands and the per-group report can bucket
-  // sites by tenant.
-  struct QueryStore {
-    std::mutex mu;
-    std::vector<std::optional<F0Estimator>> sketches;
-    std::vector<std::uint16_t> groups;
-  } store;
-  store.sketches.resize(config.sites);
-  store.groups.resize(config.sites, 0);
-  config.query_handler = [&store](const std::string& raw, bool as_json) {
-    const std::string text = query::percent_decode(raw);
-    std::lock_guard<std::mutex> lock(store.mu);
-    std::map<std::uint32_t, F0Estimator> group_cache;  // node-stable addresses
-    query::ResolveSketch resolve = [&](const query::Expr& leaf) -> const F0Estimator* {
-      if (leaf.operand == query::OperandKind::kSite) {
-        if (leaf.id >= store.sketches.size() || !store.sketches[leaf.id].has_value()) {
-          return nullptr;
-        }
-        return &*store.sketches[leaf.id];
-      }
-      if (leaf.operand != query::OperandKind::kGroup) return nullptr;
-      auto it = group_cache.find(leaf.id);
-      if (it == group_cache.end()) {
-        std::optional<F0Estimator> merged;
-        for (std::size_t s = 0; s < store.sketches.size(); ++s) {
-          if (!store.sketches[s].has_value() ||
-              store.groups[s] != static_cast<std::uint16_t>(leaf.id)) {
-            continue;
-          }
-          if (!merged.has_value()) {
-            merged = *store.sketches[s];
-          } else {
-            merged->merge(*store.sketches[s]);
-          }
-        }
-        if (!merged.has_value()) return nullptr;
-        it = group_cache.emplace(leaf.id, std::move(*merged)).first;
-      }
-      return &it->second;
-    };
-    const query::QueryResult r = query::run_query(text, resolve);
-    return as_json ? query::format_query_json(text, r) : query::format_query_text(text, r);
+  ServeKind<F0Estimator> kind;
+  kind.answer = [](const auto& view, const std::string& text, bool json) {
+    const query::QueryResult r = query::run_query(text, store_resolver(view));
+    return json ? query::format_query_json(text, r) : query::format_query_text(text, r);
   };
-
-  net::RefereeServer server(std::move(config));
-  if (!port_file.empty()) {
-    // Written after bind, before the event loop: a script that waits for
-    // this file can start pushing immediately.
-    const std::string port_text = std::to_string(server.port()) + "\n";
-    write_file(port_file, std::vector<std::uint8_t>(port_text.begin(), port_text.end()));
-  }
-  if (!admin_port_file.empty()) {
-    const std::string port_text = std::to_string(*server.admin_port()) + "\n";
-    write_file(admin_port_file,
-               std::vector<std::uint8_t>(port_text.begin(), port_text.end()));
-  }
-  net::NetCollectResult<F0Estimator> result;
   if (continuous) {
     obs::Gauge& live = obs::default_registry().gauge("ustream_referee_live_estimate");
-    net::RefereeServer::Result res = server.run(
-        [&store, &live](std::size_t site, std::uint32_t, std::uint16_t group,
-                        PayloadKind kind, std::vector<std::uint8_t>&& payload) {
-          std::lock_guard<std::mutex> lock(store.mu);
-          auto& mirrors = store.sketches;
-          try {
-            if (kind == PayloadKind::kF0Delta) {
-              // Transactional apply: patch a copy, swap on success, so a
-              // failed delta leaves the mirror intact (the server demotes
-              // the acceptance to a resync).
-              if (!mirrors[site].has_value()) return false;
-              F0Estimator next = *mirrors[site];
-              next.apply_delta(std::span<const std::uint8_t>(payload));
-              mirrors[site] = std::move(next);
-            } else {
-              F0Estimator full =
-                  F0Estimator::deserialize(std::span<const std::uint8_t>(payload));
-              // A site configured with different (eps, seed) parameters
-              // ships a sketch that can never join this union. Reject its
-              // frame (quarantine + resync verdict) instead of letting the
-              // merge below throw and take the whole referee down while
-              // the well-configured sites are still streaming.
-              for (const auto& m : mirrors) {
-                if (m.has_value() && !m->can_merge_with(full)) return false;
-              }
-              mirrors[site] = std::move(full);
-            }
-          } catch (const SerializationError&) {
-            return false;
-          }
-          store.groups[site] = group;
-          std::optional<F0Estimator> merged;
-          for (const auto& m : mirrors) {
-            if (!m.has_value()) continue;
-            if (!merged.has_value()) {
-              merged = *m;
-            } else {
-              merged->merge(*m);
-            }
-          }
-          live.set(static_cast<std::int64_t>(merged ? merged->estimate() : 0.0));
-          return true;
-        });
-    result.report = std::move(res.report);
-    result.wire = std::move(res.wire);
-    result.timed_out = res.timed_out;
-    result.shards = std::move(res.shards);
-    result.durability = std::move(res.durability);
-  } else {
-    net::RefereeServer::Result res = server.run(
-        [&store](std::size_t site, std::uint32_t, std::uint16_t group,
-                 PayloadKind /*kind*/, std::vector<std::uint8_t>&& payload) {
-          try {
-            F0Estimator est =
-                F0Estimator::deserialize(std::span<const std::uint8_t>(payload));
-            std::lock_guard<std::mutex> lock(store.mu);
-            for (const auto& m : store.sketches) {
-              if (m.has_value() && !m->can_merge_with(est)) return false;
-            }
-            store.sketches[site] = std::move(est);
-            store.groups[site] = group;
-            return true;
-          } catch (const SerializationError&) {
-            return false;
-          }
-        });
-    result.report = std::move(res.report);
-    result.wire = std::move(res.wire);
-    result.timed_out = res.timed_out;
-    result.shards = std::move(res.shards);
-    result.durability = std::move(res.durability);
+    kind.accepted = [&live](SiteSketchStore<F0Estimator>& store) {
+      // Runs after an accepted frame, so the union holds at least that site.
+      live.set(static_cast<std::int64_t>(
+          store.read([](const auto& view) { return view.all()->estimate(); })));
+    };
   }
-  // Per-group union sketches for the report (the site ledger already knows
-  // each site's tag); only surfaced when some accepted frame was grouped.
-  std::vector<GroupSketch<F0Estimator>> group_sketches;
-  {
-    std::lock_guard<std::mutex> lock(store.mu);
-    bool grouped = false;
-    for (const auto& st : result.report.per_site) {
-      grouped = grouped || (st.reported && st.group != 0);
+  kind.finish = [=, out_path = o.out_path](SiteSketchStore<F0Estimator>::Slots&& slots,
+                                           const CollectReport& report, std::string& json,
+                                           std::string& text) {
+    // Per-group union sketches for the report (the site ledger already
+    // knows each site's tag); only surfaced when some accepted frame was
+    // grouped.
+    std::vector<GroupSketch<F0Estimator>> groups;
+    if (std::any_of(report.per_site.begin(), report.per_site.end(),
+                    [](const auto& st) { return st.reported && st.group != 0; })) {
+      auto copies = slots;
+      groups = reduce_groups<F0Estimator>(report, std::move(copies));
     }
-    if (grouped) {
-      auto copies = store.sketches;
-      group_sketches = reduce_groups<F0Estimator>(result.report, std::move(copies));
-    }
-    result.union_sketch = MergeEngine::shared().reduce(std::move(store.sketches));
-  }
-  F0Estimator referee = result.union_sketch
-                            ? std::move(*result.union_sketch)
-                            : F0Estimator(EstimatorParams::for_guarantee(eps, delta, seed));
-  if (!out_path.empty()) write_sketch_file(out_path, referee);
+    std::optional<F0Estimator> merged = MergeEngine::shared().reduce(std::move(slots));
+    const F0Estimator referee =
+        merged ? std::move(*merged) : F0Estimator(EstimatorParams::for_guarantee(eps, delta, seed));
+    if (!out_path.empty()) write_sketch_file(out_path, referee);
 
-  // Relay step: one framed push of the merged subtree sketch to the
-  // upstream referee, with the same ack/retry client the sites use. A
-  // degraded subtree still relays — its union is a valid lower bound and
-  // the upstream referee's ledger shows this subtree as reported.
-  const char* relay_ack = "";
-  std::size_t relay_bytes = 0;
-  if (relay) {
-    const auto [up_host, up_port] = parse_host_port("--upstream", upstream);
-    net::TcpTransportConfig up_config;
-    up_config.host = up_host;
-    up_config.port = up_port;
-    const auto frame = frame_encode(
-        {PayloadKind::kF0Estimator, static_cast<std::uint32_t>(relay_site), relay_epoch},
-        referee.serialize());
-    net::TcpTransport transport(relay_site + 1, up_config);
-    relay_ack = net::push_ack_name(transport.send_with_ack(relay_site, frame));
-    relay_bytes = frame.size();
-  }
-
-  const CollectReport& report = result.report;
-  if (json) {
-    std::string shards_json = "[";
-    for (std::size_t k = 0; k < result.shards.size(); ++k) {
-      const auto& shard = result.shards[k];
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "%s{\"sites_reported\":%zu,\"wire_frames\":%llu,\"wire_bytes\":%llu}",
-                    k > 0 ? "," : "", shard.report.sites_reported,
-                    static_cast<unsigned long long>(shard.wire.messages),
-                    static_cast<unsigned long long>(shard.wire.total_bytes));
-      shards_json += buf;
-    }
-    shards_json += ']';
-    std::string groups_json;
-    if (!group_sketches.empty()) {
-      groups_json = ",\"groups\":[";
-      for (std::size_t k = 0; k < group_sketches.size(); ++k) {
-        char buf[96];
-        std::snprintf(buf, sizeof(buf), "%s{\"group\":%u,\"sites\":%zu,\"estimate\":%.17g}",
-                      k > 0 ? "," : "", group_sketches[k].group,
-                      group_sketches[k].sites.size(), group_sketches[k].sketch.estimate());
-        groups_json += buf;
-      }
-      groups_json += ']';
-    }
-    std::string wal_json;
-    if (result.durability.enabled) {
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    ",\"wal\":{\"records\":%llu,\"bytes\":%llu,\"fsyncs\":%llu,"
-                    "\"snapshots\":%llu,\"recovered_sites\":%zu,"
-                    "\"frames_replayed\":%llu}",
-                    static_cast<unsigned long long>(result.durability.records_logged),
-                    static_cast<unsigned long long>(result.durability.bytes_logged),
-                    static_cast<unsigned long long>(result.durability.fsyncs),
-                    static_cast<unsigned long long>(result.durability.snapshots),
-                    result.durability.sites_recovered,
-                    static_cast<unsigned long long>(result.durability.frames_replayed));
-      wal_json = buf;
-    }
-    append(out,
-           "{\"port\":%u,\"admin_port\":%u,\"sites_total\":%zu,\"sites_reported\":%zu,"
-           "\"degraded\":%s,\"timed_out\":%s,\"estimate\":%.17g,"
-           "\"attempts\":%llu,\"retries\":%llu,\"frames_quarantined\":%llu,"
-           "\"duplicates_dropped\":%llu,\"stale_dropped\":%llu,"
-           "\"deltas_applied\":%llu,\"resyncs\":%llu,"
-           "\"wire_frames\":%llu,\"wire_bytes\":%llu,"
-           "\"shards\":%s%s%s%s%s%s}",
-           server.port(), server.admin_port().value_or(0), report.sites_total,
-           report.sites_reported,
-           report.degraded() ? "true" : "false", result.timed_out ? "true" : "false",
-           referee.estimate(), static_cast<unsigned long long>(report.total_attempts()),
-           static_cast<unsigned long long>(report.retries),
-           static_cast<unsigned long long>(report.frames_quarantined),
-           static_cast<unsigned long long>(report.duplicates_dropped),
-           static_cast<unsigned long long>(report.stale_dropped),
-           static_cast<unsigned long long>(report.deltas_applied),
-           static_cast<unsigned long long>(report.resyncs),
-           static_cast<unsigned long long>(result.wire.messages),
-           static_cast<unsigned long long>(result.wire.total_bytes),
-           shards_json.c_str(), groups_json.c_str(), wal_json.c_str(),
-           relay ? ",\"relay_ack\":\"" : "", relay_ack, relay ? "\"" : "");
-  } else {
-    append(out, "listening on %s:%u for %zu sites (%zu shard%s)",
-           args.str("bind", "127.0.0.1").c_str(), server.port(), report.sites_total,
-           server.shards(), server.shards() == 1 ? "" : "s");
-    out += report.summary();
-    out += '\n';
-    append(out, "union estimate %.0f%s", referee.estimate(),
+    appendf(json, ",\"estimate\":%.17g", referee.estimate());
+    append(text, "union estimate %.0f%s", referee.estimate(),
            report.degraded() ? " [DEGRADED: lower bound]" : "");
-    append(out, "wire: %llu frames, %llu bytes (mean %.0f/frame)",
-           static_cast<unsigned long long>(result.wire.messages),
-           static_cast<unsigned long long>(result.wire.total_bytes),
-           result.wire.mean_message_bytes());
-    if (server.shards() > 1) {
-      for (std::size_t k = 0; k < result.shards.size(); ++k) {
-        const auto& shard = result.shards[k];
-        append(out, "shard %zu: %zu sites, %llu frames, %llu bytes", k,
-               shard.report.sites_reported,
-               static_cast<unsigned long long>(shard.wire.messages),
-               static_cast<unsigned long long>(shard.wire.total_bytes));
+    if (!groups.empty()) {
+      json += ",\"groups\":[";
+      for (std::size_t k = 0; k < groups.size(); ++k) {
+        appendf(json, "%s{\"group\":%u,\"sites\":%zu,\"estimate\":%.17g}",
+                k > 0 ? "," : "", groups[k].group, groups[k].sites.size(),
+                groups[k].sketch.estimate());
+        append(text, "group %u: %zu site%s, estimate %.0f", groups[k].group,
+               groups[k].sites.size(), groups[k].sites.size() == 1 ? "" : "s",
+               groups[k].sketch.estimate());
       }
+      json += ']';
     }
-    for (const auto& g : group_sketches) {
-      append(out, "group %u: %zu site%s, estimate %.0f", g.group, g.sites.size(),
-             g.sites.size() == 1 ? "" : "s", g.sketch.estimate());
-    }
-    if (result.durability.enabled) {
-      if (recover) append(out, "%s", result.durability.recovery_summary.c_str());
-      append(out, "wal: %llu records, %llu bytes, %llu fsyncs, %llu snapshots "
-                  "(fsync %s) in %s",
-             static_cast<unsigned long long>(result.durability.records_logged),
-             static_cast<unsigned long long>(result.durability.bytes_logged),
-             static_cast<unsigned long long>(result.durability.fsyncs),
-             static_cast<unsigned long long>(result.durability.snapshots),
-             fsync_name.c_str(), wal_dir.c_str());
-    }
+    // Relay step: one framed push of the merged subtree sketch to the
+    // upstream referee, with the same ack/retry client the sites use. A
+    // degraded subtree still relays — its union is a valid lower bound and
+    // the upstream referee's ledger shows this subtree as reported.
     if (relay) {
-      append(out, "relayed to %s as site %zu epoch %u: %s (%zu-byte frame)",
-             upstream.c_str(), relay_site, relay_epoch, relay_ack, relay_bytes);
+      net::TcpTransportConfig up_config;
+      std::tie(up_config.host, up_config.port) = parse_host_port("--upstream", upstream);
+      const auto frame = frame_encode(
+          {PayloadKind::kF0Estimator, static_cast<std::uint32_t>(relay_site), relay_epoch},
+          referee.serialize());
+      net::TcpTransport transport(relay_site + 1, up_config);
+      const char* ack = net::push_ack_name(transport.send_with_ack(relay_site, frame));
+      appendf(json, ",\"relay_ack\":\"%s\"", ack);
+      append(text, "relayed to %s as site %zu epoch %u: %s (%zu-byte frame)",
+             upstream.c_str(), relay_site, relay_epoch, ack, frame.size());
     }
-    if (!out_path.empty()) append(out, "wrote union sketch to %s", out_path.c_str());
+    if (!out_path.empty()) append(text, "wrote union sketch to %s", out_path.c_str());
+  };
+  return kind;
+}
+
+// `serve --kind freq`: the same referee, collecting one kFreqSketch frame
+// per site. The union summary is the componentwise merge (counter addition
+// + interval-sum space-saver union); because that merge is associative,
+// 1-shard and 4-shard collections of the same site set are byte-identical.
+// The admin /query endpoint answers top(K)/freq(LABEL) against the live
+// union, and the report carries a heavy-hitter table.
+ServeKind<FreqSketch> freq_serve_kind(const Args& args, ServeOptions& o) {
+  USTREAM_REQUIRE(!args.has("continuous") && !args.has("relay"),
+                  "serve --kind freq does not support --continuous or --relay");
+  o.config.expected_kind = PayloadKind::kFreqSketch;
+  const std::uint64_t top_k = args.u64("top", 10);
+
+  ServeKind<FreqSketch> kind;
+  kind.answer = [](const auto& view, const std::string& text, bool json) {
+    const FreqSketch* all = view.all();
+    USTREAM_REQUIRE(all != nullptr, "no freq sketches collected yet");
+    return freq_query_answer(*all, text, json);
+  };
+  kind.finish = [top_k, out_path = o.out_path](SiteSketchStore<FreqSketch>::Slots&& slots,
+                                               const CollectReport& report, std::string& json,
+                                               std::string& text) {
+    const std::optional<FreqSketch> merged = MergeEngine::shared().reduce(std::move(slots));
+    std::vector<FreqSketch::HeavyHitter> hitters;
+    if (merged) hitters = merged->top(static_cast<std::size_t>(top_k));
+    appendf(json,
+            ",\"f1\":%llu,\"f2\":%.17g,\"tracked\":%zu,\"absent_bound\":%llu,"
+            "\"heavy_hitters\":%s",
+            static_cast<unsigned long long>(merged ? merged->items_processed() : 0),
+            merged ? merged->f2() : 0.0, merged ? merged->heavy().size() : 0,
+            static_cast<unsigned long long>(merged ? merged->heavy().absent_bound() : 0),
+            hitters_json(hitters).c_str());
+    if (!merged) {
+      append(text, "union: no freq sketches collected");
+      return;
+    }
+    append(text, "union: %llu items, f2 %.4g, %zu tracked heavy labels%s",
+           static_cast<unsigned long long>(merged->items_processed()), merged->f2(),
+           merged->heavy().size(), report.degraded() ? " [DEGRADED: lower bound]" : "");
+    append_hitter_lines(text, hitters);
+    if (!out_path.empty()) {
+      write_framed_payload(out_path, PayloadKind::kFreqSketch, merged->serialize());
+      append(text, "wrote union freq sketch to %s", out_path.c_str());
+    }
+  };
+  return kind;
+}
+
+int cmd_serve(const Args& args, std::string& out) {
+  const std::string kind = args.str("kind", "f0");
+  USTREAM_REQUIRE(kind == "f0" || kind == "freq", "serve --kind must be f0 or freq");
+  ServeOptions o = parse_serve_options(args);
+  if (kind == "freq") {
+    const ServeKind<FreqSketch> freq = freq_serve_kind(args, o);
+    args.reject_unknown();
+    return serve(o, freq, out);
   }
-  if (stats) out += obs::render_json(obs::default_registry().snapshot()) + "\n";
-  return report.complete() ? 0 : 3;
+  const ServeKind<F0Estimator> f0 = f0_serve_kind(args, o);
+  args.reject_unknown();
+  return serve(o, f0, out);
 }
 
 // The site half of continuous mode (DESIGN.md §12): feed a deterministic
@@ -1231,8 +1002,8 @@ int cmd_push_continuous(const Args& args, const std::string& to,
   const double eps = args.f64("eps", 0.1);
   const double fail = args.f64("delta", 0.05);
   const std::uint64_t seed = args.u64("seed", 1);
-  const bool json = json_requested(args);
-  const bool want_stats = stats_requested(args);
+  const bool json = args.flag("json");
+  const bool want_stats = args.flag("stats");
   args.reject_unknown();
   USTREAM_REQUIRE(args.positional().empty(),
                   "push --continuous generates its own stream; no sketch file");
@@ -1324,16 +1095,13 @@ int cmd_push(const Args& args, std::string& out) {
   config.max_send_attempts = static_cast<std::uint32_t>(args.u64("attempts", 4));
   config.max_connect_attempts =
       static_cast<std::uint32_t>(args.u64("connect-attempts", 10));
-  const std::uint64_t group_raw = args.u64("group", 0);
-  USTREAM_REQUIRE(group_raw <= 0xffff, "--group out of range (max 65535)");
-  const auto group = static_cast<std::uint16_t>(group_raw);
-  if (args.has("continuous")) {
-    args.str("continuous", "");
+  const std::uint16_t group = parse_group(args);
+  if (args.flag("continuous")) {
     return cmd_push_continuous(args, to, config, site, group, out);
   }
   const auto epoch = static_cast<std::uint32_t>(args.u64("epoch", 0));
-  const bool json = json_requested(args);
-  const bool want_stats = stats_requested(args);
+  const bool json = args.flag("json");
+  const bool want_stats = args.flag("stats");
   args.reject_unknown();
   USTREAM_REQUIRE(args.positional().size() == 1, "push needs exactly one sketch file");
   const std::string& path = args.positional()[0];
@@ -1404,9 +1172,8 @@ int cmd_stats(const Args& args, std::string& out) {
   const std::string from = args.required_str("from");
   const auto [host, port] = parse_host_port("--from", from);
   const auto timeout = std::chrono::milliseconds(args.u64("timeout-ms", 5000));
-  const bool json = json_requested(args);
-  const bool health = args.has("health");
-  if (health) args.str("health", "");
+  const bool json = args.flag("json");
+  const bool health = args.flag("health");
   // --watch SECS: re-poll the endpoint every SECS seconds and redraw until
   // the referee goes away (its exit closes the admin port, which ends the
   // watch cleanly) or --count snapshots have been printed. Snapshots are
@@ -1456,7 +1223,7 @@ int cmd_stats(const Args& args, std::string& out) {
 // referee through its admin endpoint (--from HOST:PORT with serve
 // --admin-port), where the referee's own ledger supplies the operands.
 int cmd_query(const Args& args, std::string& out) {
-  const bool json = json_requested(args);
+  const bool json = args.flag("json");
   const std::string from = args.str("from", "");
   const auto timeout = std::chrono::milliseconds(args.u64("timeout-ms", 5000));
   args.reject_unknown();
@@ -1480,44 +1247,20 @@ int cmd_query(const Args& args, std::string& out) {
   // path above already reaches a freq referee's admin handler verbatim).
   if (expr_text.rfind("top(", 0) == 0 || expr_text.rfind("freq(", 0) == 0) {
     require_uniform_kinds(files);
-    FreqSketch merged = read_freq_file(files[0]);
-    for (std::size_t i = 1; i < files.size(); ++i) merged.merge(read_freq_file(files[i]));
-    out += freq_query_answer(merged, expr_text, json);
+    out += freq_query_answer(merge_files(files, read_freq_file), expr_text, json);
     return 0;
   }
-  std::vector<F0Estimator> sketches;
-  std::vector<std::uint16_t> groups;
-  sketches.reserve(files.size());
-  for (const auto& path : files) {
-    const auto bytes = read_file(path);
+  SiteSketchStore<F0Estimator> store(files.size());
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    const auto bytes = read_file(files[i]);
     std::uint16_t group = 0;  // legacy v0 files are ungrouped
     if (looks_like_frame(bytes)) group = frame_decode(bytes).header.group;
-    sketches.push_back(read_sketch_file(path));
-    groups.push_back(group);
+    USTREAM_REQUIRE(store.put(i, group, read_sketch_file(files[i])),
+                    "sketch file " + files[i] + " is not coordinated with " + files[0] +
+                        " (different parameters or seed)");
   }
-  std::map<std::uint32_t, F0Estimator> group_cache;  // node-stable addresses
-  query::ResolveSketch resolve = [&](const query::Expr& leaf) -> const F0Estimator* {
-    if (leaf.operand == query::OperandKind::kSite) {
-      return leaf.id < sketches.size() ? &sketches[leaf.id] : nullptr;
-    }
-    if (leaf.operand != query::OperandKind::kGroup) return nullptr;
-    auto it = group_cache.find(leaf.id);
-    if (it == group_cache.end()) {
-      std::optional<F0Estimator> merged;
-      for (std::size_t i = 0; i < sketches.size(); ++i) {
-        if (groups[i] != static_cast<std::uint16_t>(leaf.id)) continue;
-        if (!merged.has_value()) {
-          merged = sketches[i];
-        } else {
-          merged->merge(sketches[i]);
-        }
-      }
-      if (!merged.has_value()) return nullptr;
-      it = group_cache.emplace(leaf.id, std::move(*merged)).first;
-    }
-    return &it->second;
-  };
-  const query::QueryResult r = query::run_query(expr_text, resolve);
+  const query::QueryResult r = store.read(
+      [&](const auto& view) { return query::run_query(expr_text, store_resolver(view)); });
   out += json ? query::format_query_json(expr_text, r)
               : query::format_query_text(expr_text, r);
   return 0;
@@ -1535,7 +1278,7 @@ int cmd_wal(const Args& args, std::string& out) {
                   "usage: ustream wal inspect|dump --dir DIR [--json]");
   const bool dump = positional[0] == "dump";
   const std::string dir = args.required_str("dir");
-  const bool json = json_requested(args);
+  const bool json = args.flag("json");
   args.reject_unknown();
 
   const auto segments = durability::scan_wal_segments(dir);
@@ -1544,28 +1287,21 @@ int cmd_wal(const Args& args, std::string& out) {
     out += "{\"dir\":\"" + json_escape(dir) + "\",\"segments\":[";
     for (std::size_t i = 0; i < segments.size(); ++i) {
       const auto& seg = segments[i];
-      char buf[512];
-      std::snprintf(buf, sizeof(buf),
-                    "%s{\"path\":\"%s\",\"shard\":%u,\"seq\":%u,"
-                    "\"watermark\":%u,\"bytes\":%llu,\"valid\":%s%s%s}",
-                    i > 0 ? "," : "", json_escape(seg.path).c_str(), seg.shard,
-                    seg.seq, seg.watermark,
-                    static_cast<unsigned long long>(seg.file_bytes),
-                    seg.header_valid ? "true" : "false",
-                    seg.header_valid ? "" : ",\"error\":\"",
-                    seg.header_valid ? "" : (json_escape(seg.error) + "\"").c_str());
-      out += buf;
+      appendf(out,
+              "%s{\"path\":\"%s\",\"shard\":%u,\"seq\":%u,"
+              "\"watermark\":%u,\"bytes\":%llu,\"valid\":%s%s%s}",
+              i > 0 ? "," : "", json_escape(seg.path).c_str(), seg.shard, seg.seq,
+              seg.watermark, static_cast<unsigned long long>(seg.file_bytes),
+              seg.header_valid ? "true" : "false",
+              seg.header_valid ? "" : ",\"error\":\"",
+              seg.header_valid ? "" : (json_escape(seg.error) + "\"").c_str());
     }
     out += "],\"snapshots\":[";
     for (std::size_t i = 0; i < snapshots.size(); ++i) {
       const auto& snap = snapshots[i];
-      char buf[512];
-      std::snprintf(buf, sizeof(buf),
-                    "%s{\"path\":\"%s\",\"seq\":%u,\"bytes\":%llu,\"valid\":%s}",
-                    i > 0 ? "," : "", json_escape(snap.path).c_str(), snap.seq,
-                    static_cast<unsigned long long>(snap.file_bytes),
-                    snap.valid ? "true" : "false");
-      out += buf;
+      appendf(out, "%s{\"path\":\"%s\",\"seq\":%u,\"bytes\":%llu,\"valid\":%s}",
+              i > 0 ? "," : "", json_escape(snap.path).c_str(), snap.seq,
+              static_cast<unsigned long long>(snap.file_bytes), snap.valid ? "true" : "false");
     }
     out += "]";
   } else {
@@ -1608,13 +1344,11 @@ int cmd_wal(const Args& args, std::string& out) {
           verdict = "corrupt";
         }
         if (json) {
-          char buf[512];
-          std::snprintf(buf, sizeof(buf),
-                        "%s{\"file\":\"%s\",\"site\":%u,\"epoch\":%u,"
-                        "\"kind\":\"%s\",\"bytes\":%zu,\"verdict\":\"%s\"}",
-                        first_record ? "" : ",", json_escape(path).c_str(), site,
-                        epoch, kind, record->size(), verdict.c_str());
-          out += buf;
+          appendf(out,
+                  "%s{\"file\":\"%s\",\"site\":%u,\"epoch\":%u,"
+                  "\"kind\":\"%s\",\"bytes\":%zu,\"verdict\":\"%s\"}",
+                  first_record ? "" : ",", json_escape(path).c_str(), site, epoch, kind,
+                  record->size(), verdict.c_str());
           first_record = false;
         } else {
           append(out, "  %s: site %u epoch %u %s (%zu bytes) %s", path.c_str(),
@@ -1698,6 +1432,7 @@ std::string usage() {
          "            [--fsync-interval-ms N] [--snapshot-every N] [--segment-mb N]\n"
          "            [--recover]]\n"
          "           [--continuous] [--eps E] [--delta D] [--seed S] [--json] [--stats]\n"
+         "           [--kind f0|freq [--top K]]\n"
          "           (TCP referee: collect one sketch per site, merge, estimate;\n"
          "            port 0 picks a free port; exit 3 if degraded; --shards N runs\n"
          "            N SO_REUSEPORT event loops; --admin-port serves live metrics\n"
@@ -1707,11 +1442,9 @@ std::string usage() {
          "            --wal-dir logs accepted frames before acking so\n"
          "            --recover resumes a killed referee with identical state;\n"
          "            --continuous accepts delta chains until --timeout-ms and\n"
-         "            exports the live union estimate via --admin-port)\n"
-         "  serve    --kind freq [--top K] [...common serve flags]\n"
-         "           (collect one freq sketch per site, merge into the union\n"
-         "            heavy-hitter table; admin /query answers top(K) and\n"
-         "            freq(LABEL); sharding and WAL recovery work unchanged)\n"
+         "            exports the live union estimate via --admin-port;\n"
+         "            --kind freq merges freq sketches into the union heavy-hitter\n"
+         "            table and /query answers top(K) and freq(LABEL))\n"
          "  push     --to HOST:PORT [--site I] [--epoch E] [--group G]\n"
          "           [--attempts K] [--connect-attempts K] [--json] [--stats] SKETCH\n"
          "           (ship a sketch file to a running serve referee; --group\n"

@@ -148,18 +148,6 @@ class CollectState {
                         std::uint16_t group = 0);
   void finalize(std::uint32_t max_attempts);  // marks exhausted sites
 
-  // The referee's merge step: folds the accepted per-site sketches (site
-  // order, gaps = sites that never reported) into the union sketch on the
-  // engine's pool via deterministic tree reduction. Byte-identical to a
-  // sequential site-order fold for every UnionSketch — see merge_engine.h
-  // for the argument and tests/test_merge_engine.cpp for the enforcement.
-  // Returns nullopt only for a fully degraded (zero-site) collection.
-  template <typename Sketch>
-  std::optional<Sketch> finish(std::vector<std::optional<Sketch>>&& accepted,
-                               MergeEngine& engine = MergeEngine::shared()) const {
-    return engine.reduce(std::move(accepted));
-  }
-
   bool site_reported(std::size_t site) const { return report_.per_site[site].reported; }
   std::uint32_t site_attempts(std::size_t site) const { return report_.per_site[site].attempts; }
   bool all_reported() const noexcept { return report_.sites_reported == report_.sites_total; }
@@ -194,7 +182,7 @@ struct GroupSketch {
   Sketch sketch;
 };
 
-// The grouped counterpart of CollectState::finish(): buckets the accepted
+// The grouped counterpart of MergeEngine::reduce: buckets the accepted
 // per-site sketches by the group tag recorded in `report` and reduces each
 // bucket independently through the engine. Site order is preserved within
 // each bucket and groups come out sorted by id, so the result is

@@ -133,9 +133,7 @@ ContinuousUnionMonitor::ContinuousUnionMonitor(std::size_t sites, std::uint64_t 
       epoch_(sites, 0),
       pending_items_(sites),
       acked_items_(sites, 0),
-      referee_snapshots_(sites),
-      referee_epoch_(sites, 0),
-      cached_epoch_(sites, 0),
+      store_(sites),
       transport_(transport ? std::move(transport) : std::make_unique<Channel>(sites)),
       state_(sites, PayloadKind::kF0Estimator, DedupMode::kLatestWins) {
   USTREAM_REQUIRE(sites >= 1, "need at least one site");
@@ -211,34 +209,20 @@ void ContinuousUnionMonitor::drain_into_referee() {
 
 void ContinuousUnionMonitor::accept(std::size_t site, std::uint32_t epoch, PayloadKind kind,
                                     std::span<const std::uint8_t> payload) {
-  if (kind == PayloadKind::kF0Delta) {
-    // Apply transactionally: patch a copy of the mirror and swap on success,
-    // so a payload that fails mid-apply (CRC collision on a corrupted frame)
-    // leaves the mirror untouched and demotes the acceptance to a resync.
-    if (!referee_snapshots_[site].has_value()) {
-      state_.demote_delta(site, epoch - 1);
-      return;
-    }
-    F0Estimator next = *referee_snapshots_[site];
-    try {
-      next.apply_delta(payload);
-    } catch (const SerializationError&) {
-      state_.demote_delta(site, epoch - 1);
-      state_.report().frames_quarantined += 1;
-      return;
-    }
-    referee_snapshots_[site] = std::move(next);
-  } else {
-    try {
-      referee_snapshots_[site] = F0Estimator::deserialize(payload);
-    } catch (const SerializationError&) {
-      // CRC passed yet the payload would not parse — a 2^-32 collision on a
-      // corrupted frame. Keep the previous snapshot; count the quarantine.
-      state_.report().frames_quarantined += 1;
-      return;
-    }
+  const bool delta = kind == PayloadKind::kF0Delta;
+  if (delta && !store_.has(site)) {
+    state_.demote_delta(site, epoch - 1);
+    return;
   }
-  referee_epoch_[site] = epoch;  // the query cache re-merges this site lazily
+  // The store applies a delta transactionally, so a payload that fails
+  // mid-apply (CRC collision on a corrupted frame) leaves the snapshot
+  // untouched and demotes the acceptance to a resync; a full frame that
+  // will not parse keeps the previous snapshot. Either way: quarantined.
+  if (!store_.accept(site, 0, kind, payload)) {
+    if (delta) state_.demote_delta(site, epoch - 1);
+    state_.report().frames_quarantined += 1;
+    return;
+  }
   ++snapshots_;
   // Attribute the ack to the prefix that snapshot covered.
   auto& pending = pending_items_[site];
@@ -254,7 +238,7 @@ void ContinuousUnionMonitor::accept(std::size_t site, std::uint32_t epoch, Paylo
 const CollectReport& ContinuousUnionMonitor::flush() {
   if (options_.delta_protocol) return flush_delta();
   for (std::size_t i = 0; i < site_sketches_.size(); ++i) {
-    if (since_report_[i] > 0 || !referee_snapshots_[i].has_value()) push(i);
+    if (since_report_[i] > 0 || !store_.has(i)) push(i);
   }
   // Ack/retry until every site's LATEST epoch is at the referee or the
   // per-site attempt budget is spent. Retransmissions reuse the site's
@@ -289,7 +273,7 @@ const CollectReport& ContinuousUnionMonitor::flush() {
 // transport left it in), then retries that same frame per policy until acked.
 const CollectReport& ContinuousUnionMonitor::flush_delta() {
   for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    if (sessions_[i].dirty() || !referee_snapshots_[i].has_value()) {
+    if (sessions_[i].dirty() || !store_.has(i)) {
       push_delta(i, sessions_[i].next_full());
     }
   }
@@ -327,35 +311,26 @@ const CollectReport& ContinuousUnionMonitor::flush_delta() {
 }
 
 double ContinuousUnionMonitor::estimate() const {
-  // Fold only the sites whose snapshot epoch moved since the last query.
-  // Merging a site's newer snapshot over the older one already folded is
-  // exact (prefix label-sets + duplicate insensitivity — continuous.h).
-  bool changed = false;
-  for (std::size_t i = 0; i < referee_snapshots_.size(); ++i) {
-    if (!referee_snapshots_[i] || cached_epoch_[i] == referee_epoch_[i]) continue;
-    if (!cached_union_) {
-      cached_union_.emplace(*referee_snapshots_[i]);
-    } else {
-      cached_union_->merge(*referee_snapshots_[i]);
-    }
-    cached_epoch_[i] = referee_epoch_[i];
-    changed = true;
-  }
-  if (changed) cached_estimate_ = cached_union_->estimate();
-  return cached_estimate_;
+  return store_.read([](const auto& view) {
+    const F0Estimator* all = view.all();
+    return all != nullptr ? all->estimate() : 0.0;
+  });
 }
 
 double ContinuousUnionMonitor::estimate_full_remerge() const {
-  std::optional<F0Estimator> merged;
-  for (const auto& snap : referee_snapshots_) {
-    if (!snap) continue;
-    if (!merged) {
-      merged = *snap;
-    } else {
-      merged->merge(*snap);
+  return store_.read([](const auto& view) {
+    std::optional<F0Estimator> merged;
+    for (std::size_t i = 0; i < view.sites(); ++i) {
+      const F0Estimator* snap = view.site(i);
+      if (snap == nullptr) continue;
+      if (!merged) {
+        merged = *snap;
+      } else {
+        merged->merge(*snap);
+      }
     }
-  }
-  return merged ? merged->estimate() : 0.0;
+    return merged ? merged->estimate() : 0.0;
+  });
 }
 
 std::vector<std::uint64_t> ContinuousUnionMonitor::staleness() const {

@@ -33,6 +33,7 @@
 #include "core/windowed_sampler.h"
 #include "distributed/channel.h"
 #include "distributed/collect.h"
+#include "distributed/site_store.h"
 #include "distributed/transport.h"
 
 namespace ustream {
@@ -151,15 +152,15 @@ class ContinuousUnionMonitor {
 
   // Union estimate from the snapshots currently at the referee.
   //
-  // Incremental: the referee keeps a cached merged union tagged with the
-  // epoch of each site's folded snapshot, and a query only re-merges the
-  // sites whose snapshot epoch changed since the last call — typically
-  // zero or a handful — instead of copying and merging all t snapshots.
+  // Incremental: the referee's SiteSketchStore keeps a cached union and a
+  // query only folds in the snapshots that arrived since the last call —
+  // typically zero or a handful — instead of copying and merging all t.
   // Folding a site's NEWER snapshot over its older one already in the
   // cache is exact: the older snapshot covers a prefix of the newer one's
   // stream, and sampler state is a duplicate-insensitive pure function of
-  // the absorbed label set (DESIGN.md §7), so old ∪ new == new. Verified
-  // against estimate_full_remerge() in tests.
+  // the absorbed label set (DESIGN.md §7), so old ∪ new == new — the
+  // store checks exactly that before it folds. Verified against
+  // estimate_full_remerge() in tests.
   double estimate() const;
 
   // The non-incremental reference path: copy-and-merge every snapshot on
@@ -206,14 +207,7 @@ class ContinuousUnionMonitor {
   // staleness() attribute an accepted epoch to the prefix it covered.
   std::vector<std::vector<std::pair<std::uint32_t, std::uint64_t>>> pending_items_;
   std::vector<std::uint64_t> acked_items_;  // items covered by referee snapshot
-  std::vector<std::optional<F0Estimator>> referee_snapshots_;
-  std::vector<std::uint32_t> referee_epoch_;  // epoch of each held snapshot (0 = none)
-  // Incremental query cache (mutable: estimate() is logically const).
-  // cached_union_ holds the merge of the snapshots tagged in cached_epoch_;
-  // cached_estimate_ is its estimate, recomputed only when a fold happens.
-  mutable std::optional<F0Estimator> cached_union_;
-  mutable std::vector<std::uint32_t> cached_epoch_;
-  mutable double cached_estimate_ = 0.0;
+  SiteSketchStore<F0Estimator> store_;      // the referee's per-site snapshots
   std::unique_ptr<Transport> transport_;
   CollectState state_;
   std::uint64_t snapshots_ = 0;

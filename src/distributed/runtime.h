@@ -141,8 +141,7 @@ class DistributedRun {
     // Tree-reduce in site order on the engine's pool: bit-identical to
     // the sequential site-order fold regardless of delivery order, pool
     // size or scheduling (merge_engine.h).
-    referee_ = state.finish(std::move(accepted),
-                            engine ? *engine : MergeEngine::shared());
+    referee_ = (engine ? *engine : MergeEngine::shared()).reduce(std::move(accepted));
     // Total loss still yields a queryable (empty) referee — maximally
     // degraded, and the report says so.
     if (!referee_) referee_.emplace(make_sketch_());

@@ -39,9 +39,9 @@
 // The loops run until every expected site has reported somewhere (acks
 // flushed), the configured deadline passes (degraded finish), or
 // request_stop() is called from another thread (per-shard WakePipe
-// wakeup). Merging is the caller's step: collect_and_merge() deserializes
-// accepted payloads and finishes with the parallel MergeEngine, mirroring
-// DistributedRun::collect().
+// wakeup). Merging is the caller's step: collect_and_merge() keeps the
+// accepted payloads in a SiteSketchStore and finishes with the parallel
+// MergeEngine, mirroring DistributedRun::collect().
 #pragma once
 
 #include <atomic>
@@ -56,6 +56,7 @@
 
 #include "core/merge_engine.h"
 #include "distributed/collect.h"
+#include "distributed/site_store.h"
 #include "distributed/transport.h"
 #include "durability/recovery.h"
 #include "net/event_loop.h"
@@ -153,18 +154,19 @@ class RefereeServer {
   // Bound admin port; nullopt when the admin endpoint is disabled.
   std::optional<std::uint16_t> admin_port() const noexcept { return admin_port_; }
 
-  // Consumes an accepted payload. Returns false iff the payload fails to
-  // deserialize despite its CRC matching (the 2^-32 collision case): the
-  // frame is then quarantined and the site reopened, and the client sees a
-  // 'Q' ack telling it to retransmit — except for a delta payload, whose
-  // failure demotes the acceptance to a resync ('R'): retransmitting a
-  // delta that cannot apply is useless, the site owes a full frame. `kind`
-  // is the frame's PayloadKind (config.expected_kind, or config.delta_kind
-  // for chain deltas); `group` is the frame's group tag (0 = ungrouped), so
-  // a grouped sink can keep per-tenant stores apart. In a sharded server
-  // the sink is invoked under the shared arbiter mutex, so calls are
-  // serialized and arrive in global acceptance order — a plain vector-slot
-  // sink needs no locking of its own.
+  // Consumes an accepted payload. Returns false when the sink refuses it:
+  // the payload fails to deserialize despite its CRC matching (the 2^-32
+  // collision case), or the sketch cannot merge with the ones the sink
+  // already holds. The frame is then quarantined and the site reopened,
+  // and the client sees a 'Q' ack telling it to retransmit — except for a
+  // delta payload, whose failure demotes the acceptance to a resync ('R'):
+  // retransmitting a delta that cannot apply is useless, the site owes a
+  // full frame. `kind` is the frame's PayloadKind (config.expected_kind,
+  // or config.delta_kind for chain deltas); `group` is the frame's group
+  // tag (0 = ungrouped), so a grouped sink can keep per-tenant stores
+  // apart. In a sharded server the sink is invoked under the shared
+  // arbiter mutex, so calls are serialized and arrive in global acceptance
+  // order — a plain vector-slot sink needs no locking of its own.
   using PayloadSink = std::function<bool(std::size_t site, std::uint32_t epoch,
                                          std::uint16_t group, PayloadKind kind,
                                          std::vector<std::uint8_t>&& payload)>;
@@ -225,11 +227,12 @@ class RefereeServer {
   std::optional<std::uint16_t> admin_port_;
 };
 
-// The referee's full end-of-stream step over TCP: collect frames, decode
-// the per-site sketches, tree-reduce them on the engine's pool in site
-// order (byte-identical to the sequential fold — merge_engine.h). Returns
-// nullopt union_sketch only for a fully degraded (zero-site) collection,
-// matching CollectState::finish().
+// The referee's full end-of-stream step over TCP: collect frames into a
+// SiteSketchStore, then tree-reduce the slots on the engine's pool in site
+// order (byte-identical to the sequential fold — merge_engine.h). A payload
+// the store refuses (undecodable, or not mergeable with the sketches
+// already held) is quarantined ('Q') instead of acked. Returns nullopt
+// union_sketch only for a fully degraded (zero-site) collection.
 template <typename Sketch>
 struct NetCollectResult {
   CollectReport report;
@@ -243,18 +246,11 @@ struct NetCollectResult {
 template <typename Sketch>
 NetCollectResult<Sketch> collect_and_merge(RefereeServer& server,
                                            MergeEngine& engine = MergeEngine::shared()) {
-  std::vector<std::optional<Sketch>> accepted(server.sites());
+  SiteSketchStore<Sketch> store(server.sites());
   RefereeServer::Result res =
-      server.run([&accepted](std::size_t site, std::uint32_t /*epoch*/,
-                             std::uint16_t /*group*/, PayloadKind /*kind*/,
-                             std::vector<std::uint8_t>&& payload) {
-        try {
-          accepted[site].emplace(
-              Sketch::deserialize(std::span<const std::uint8_t>(payload)));
-          return true;
-        } catch (const SerializationError&) {
-          return false;
-        }
+      server.run([&store](std::size_t site, std::uint32_t, std::uint16_t group, PayloadKind kind,
+                          std::vector<std::uint8_t>&& payload) {
+        return store.accept(site, group, kind, payload);
       });
   NetCollectResult<Sketch> out;
   out.report = std::move(res.report);
@@ -262,7 +258,7 @@ NetCollectResult<Sketch> collect_and_merge(RefereeServer& server,
   out.timed_out = res.timed_out;
   out.shards = std::move(res.shards);
   out.durability = std::move(res.durability);
-  out.union_sketch = engine.reduce(std::move(accepted));
+  out.union_sketch = engine.reduce(store.take_slots());
   return out;
 }
 

@@ -1,7 +1,8 @@
 // DLRT-style expression evaluation over coordinated samples.
 //
-// Generalizes core/set_ops.h from two operands to arbitrary expressions,
-// following "A Framework for Estimating Stream Expression Cardinalities"
+// Set expressions (union, intersection, difference — and Jaccard as
+// |A & B| / |A | B|) over any number of coordinated operands, following
+// "A Framework for Estimating Stream Expression Cardinalities"
 // (Dasgupta–Lang–Rhodes–Thaler; PAPERS.md): because every operand sketch
 // flips the SAME per-label coins (shared hash), restricting every sample
 // to the common threshold level L = max over operands of level_j makes the

@@ -1,16 +1,16 @@
 // Cross-module integration: generator -> partitioner -> distributed
 // protocol -> referee, plus cross-checks between independent estimator
-// implementations (point vs range, sketch vs exact, set ops vs merge).
+// implementations (point vs range, sketch vs exact, set expressions vs truth).
 #include <gtest/gtest.h>
 
 #include "baselines/exact.h"
 #include "baselines/factory.h"
 #include "common/stats.h"
 #include "core/range_sampler.h"
-#include "core/set_ops.h"
 #include "distributed/protocols.h"
 #include "netmon/monitor.h"
 #include "netmon/trace_gen.h"
+#include "query/service.h"
 #include "stream/partitioner.h"
 #include "stream/trace_io.h"
 #include "stream/transforms.h"
@@ -92,10 +92,16 @@ TEST(Integration, NetmonLinksAsSetExpressions) {
   sa.for_each([&](std::uint64_t x) {
     if (sb.contains(x)) ++inter_truth;
   });
-  const auto est = estimate_set_expressions(a, b);
+  const query::ResolveSketch links = [&](const query::Expr& leaf) -> const F0Estimator* {
+    if (leaf.operand != query::OperandKind::kSite || leaf.id > 1) return nullptr;
+    return leaf.id == 0 ? &a : &b;
+  };
   const double union_truth = static_cast<double>(sa.size() + sb.size() - inter_truth);
-  EXPECT_LT(relative_error(est.union_size, union_truth), 0.08);
-  EXPECT_LT(relative_error(est.intersection_size, static_cast<double>(inter_truth)), 0.3);
+  EXPECT_LT(relative_error(query::run_query("site:0 | site:1", links).estimate, union_truth),
+            0.08);
+  EXPECT_LT(relative_error(query::run_query("site:0 & site:1", links).estimate,
+                           static_cast<double>(inter_truth)),
+            0.3);
 }
 
 TEST(Integration, GtBeatsAmsAtEqualIndependence) {

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 
 #include <atomic>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -276,6 +277,43 @@ TEST(NetReferee, KilledSiteDegradesToTheSameLowerBoundAsFaultyChannel) {
   EXPECT_EQ(result.union_sketch->serialize(), workload.channel_referee_bytes(&alive));
 }
 
+// A site whose sketch was built under different parameters is refused at
+// the sink ('Q'), exactly like the CLI referees: the collection ends
+// degraded with the good site's union instead of acking every frame and
+// then throwing on the unmergeable pair in the final reduce.
+TEST(NetReferee, MismatchedSiteParamsAreRefusedNotAcked) {
+  constexpr std::size_t kSites = 2;
+  Workload workload(kSites);
+
+  RefereeServerConfig config;
+  config.sites = kSites;
+  config.timeout = std::chrono::milliseconds{1500};
+  RefereeServer server(config);
+  net::NetCollectResult<F0Estimator> result;
+  std::thread referee([&server, &result] {
+    result = net::collect_and_merge<F0Estimator>(server);
+  });
+
+  TcpTransportConfig tconfig = client_config(server.port());
+  tconfig.max_send_attempts = 1;  // surface 'Q' as an error instead of retrying
+  TcpTransport transport(kSites, tconfig);
+  EXPECT_EQ(transport.send_with_ack(0, frame_encode({PayloadKind::kF0Estimator, 0, 0},
+                                                    workload.sites[0].serialize())),
+            PushAck::kAccepted);
+  F0Estimator alien(EstimatorParams::for_guarantee(0.3, 0.05, 8));
+  for (const Item& item : workload.data.site_streams[1]) alien.add(item.label);
+  EXPECT_THROW(transport.send_with_ack(1, frame_encode({PayloadKind::kF0Estimator, 1, 0},
+                                                       alien.serialize())),
+               net::TransportError);
+  referee.join();
+
+  EXPECT_TRUE(result.report.degraded());
+  EXPECT_EQ(result.report.sites_reported, 1u);
+  EXPECT_GE(result.report.frames_quarantined, 1u);
+  ASSERT_TRUE(result.union_sketch.has_value());
+  EXPECT_EQ(result.union_sketch->serialize(), workload.sites[0].serialize());
+}
+
 // One admin round trip: connect, send the one-line request, read the
 // response to EOF (the admin protocol is response-then-close).
 std::string admin_query(std::uint16_t port, const std::string& request) {
@@ -304,6 +342,67 @@ std::uint64_t json_counter(const std::string& json, const std::string& name) {
   const auto pos = json.find(key);
   if (pos == std::string::npos) return ~std::uint64_t{0};
   return std::strtoull(json.c_str() + pos + key.size(), nullptr, 10);
+}
+
+// A gauge's value out of a render_json metrics line; -1 if absent.
+std::int64_t json_gauge(const std::string& json, const std::string& name) {
+  const std::string key = "\"name\":\"" + name + "\",\"type\":\"gauge\",\"value\":";
+  const auto pos = json.find(key);
+  if (pos == std::string::npos) return -1;
+  return std::strtoll(json.c_str() + pos + key.size(), nullptr, 10);
+}
+
+// Minimal JSON syntax check (objects, arrays, strings, numbers, literals):
+// enough to tell a whole --json line from one cut off mid-object.
+bool json_value(const std::string& s, std::size_t& i) {
+  const auto ws = [&] {
+    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+  };
+  ws();
+  if (i >= s.size()) return false;
+  const char c = s[i];
+  if (c == '{' || c == '[') {
+    const char close = c == '{' ? '}' : ']';
+    ++i;
+    ws();
+    if (i < s.size() && s[i] == close) return ++i, true;
+    for (;;) {
+      if (c == '{') {
+        ws();
+        if (i >= s.size() || s[i] != '"' || !json_value(s, i)) return false;
+        ws();
+        if (i >= s.size() || s[i++] != ':') return false;
+      }
+      if (!json_value(s, i)) return false;
+      ws();
+      if (i >= s.size()) return false;
+      if (s[i] == close) return ++i, true;
+      if (s[i++] != ',') return false;
+    }
+  }
+  if (c == '"') {
+    for (++i; i < s.size(); ++i) {
+      if (s[i] == '\\') {
+        ++i;
+      } else if (s[i] == '"') {
+        return ++i, true;
+      }
+    }
+    return false;
+  }
+  for (const std::string lit : {"true", "false", "null"}) {
+    if (s.compare(i, lit.size(), lit) == 0) return i += lit.size(), true;
+  }
+  char* end = nullptr;
+  std::strtod(s.c_str() + i, &end);
+  if (end == s.c_str() + i) return false;
+  i = static_cast<std::size_t>(end - s.c_str());
+  return true;
+}
+
+bool json_valid(const std::string& s) {
+  std::size_t i = 0;
+  return json_value(s, i) && i == s.size();
 }
 
 TEST(NetAdmin, ServesLiveMetricsMidCollection) {
@@ -1239,7 +1338,7 @@ TEST_F(NetCliTest, ContinuousServeSurvivesMismatchedSiteParams) {
 
   const auto port_file = path("cport.txt");
   const std::string serve_cmd = g_ustream_bin +
-                                " serve --port 0 --sites 2 --continuous --json" +
+                                " serve --port 0 --sites 2 --continuous --json --stats" +
                                 " --timeout-ms 8000 --port-file " + port_file + " 2>&1";
   std::FILE* serve = popen(serve_cmd.c_str(), "r");
   ASSERT_NE(serve, nullptr);
@@ -1281,6 +1380,15 @@ TEST_F(NetCliTest, ContinuousServeSurvivesMismatchedSiteParams) {
   EXPECT_NE(serve_out.find("\"degraded\":true"), std::string::npos) << serve_out;
   EXPECT_EQ(serve_out.find("\"deltas_applied\":0,"), std::string::npos) << serve_out;
   EXPECT_EQ(serve_out.find("error:"), std::string::npos) << serve_out;
+  // The live gauge, fed from the store's cached union after every accepted
+  // frame, lands on the same union the end-of-run reduce reports.
+  const auto est_at = serve_out.find("\"estimate\":");
+  ASSERT_NE(est_at, std::string::npos) << serve_out;
+  const double estimate = std::strtod(serve_out.c_str() + est_at + 11, nullptr);
+  EXPECT_GT(estimate, 0.0);
+  EXPECT_EQ(json_gauge(serve_out, "ustream_referee_live_estimate"),
+            static_cast<std::int64_t>(estimate))
+      << serve_out;
 }
 
 // Sharded serve as a real process: 4 sites into 2 shard loops, output
@@ -1328,6 +1436,72 @@ TEST_F(NetCliTest, ShardedServeMatchesInProcessMergeByteForByte) {
   const auto net_bytes = slurp(net_sk);
   ASSERT_FALSE(net_bytes.empty());
   EXPECT_EQ(net_bytes, slurp(inproc));
+}
+
+// `serve --kind freq` as real processes at 1 and 2 shards: --out bytes equal
+// `ustream merge` over the same freq files, the live top(5) answer equals
+// the file-mode answer over the sites pushed so far, and the --json report
+// is one valid JSON line carrying all 200 requested heavy hitters.
+TEST_F(NetCliTest, FreqServeMatchesFileMergeAtOneAndTwoShards) {
+  if (g_ustream_bin.empty()) GTEST_SKIP() << "ustream binary path not provided";
+
+  std::vector<std::string> sketches;
+  for (int i = 0; i < 4; ++i) {
+    const auto trace = path("fq" + std::to_string(i) + ".trace");
+    sketches.push_back(path("fq" + std::to_string(i) + ".sk"));
+    ASSERT_EQ(invoke({"generate", "--distinct", "5000", "--items", "20000", "--seed",
+                      std::to_string(51 + i), "--out", trace}).first, 0);
+    ASSERT_EQ(invoke({"sketch", "--kind", "freq", "--in", trace, "--seed", "42",
+                      "--out", sketches.back()}).first, 0);
+  }
+  const auto merged = path("fq_merged.sk");
+  ASSERT_EQ(invoke({"merge", "--out", merged, sketches[0], sketches[1], sketches[2],
+                    sketches[3]}).first, 0);
+  auto [fc, file_top] = invoke({"query", "top(5)", sketches[0], sketches[1], sketches[2]});
+  ASSERT_EQ(fc, 0) << file_top;
+
+  for (const std::string shards : {"1", "2"}) {
+    const auto net_sk = path("fq_net" + shards + ".sk");
+    const auto port_file = path("fq_port" + shards + ".txt");
+    const auto admin_file = path("fq_admin" + shards + ".txt");
+    const std::string serve_cmd = g_ustream_bin + " serve --kind freq --top 200 --port 0" +
+                                  " --sites 4 --shards " + shards + " --json" +
+                                  " --timeout-ms 30000 --out " + net_sk + " --port-file " +
+                                  port_file + " --admin-port-file " + admin_file + " 2>&1";
+    std::FILE* serve = popen(serve_cmd.c_str(), "r");
+    ASSERT_NE(serve, nullptr);
+    const std::uint16_t port = wait_for_port(port_file);
+    const std::uint16_t admin = wait_for_port(admin_file);
+    ASSERT_NE(port, 0) << "serve never wrote its port file";
+    ASSERT_NE(admin, 0) << "serve never wrote its admin port file";
+    const auto push = [&](int site) {
+      return std::system((g_ustream_bin + " push --to 127.0.0.1:" + std::to_string(port) +
+                          " --site " + std::to_string(site) + " " + sketches[site] +
+                          " > /dev/null 2>&1").c_str());
+    };
+    for (int i = 0; i < 3; ++i) ASSERT_EQ(push(i), 0);
+    auto [lc, live_top] =
+        invoke({"query", "top(5)", "--from", "127.0.0.1:" + std::to_string(admin)});
+    EXPECT_EQ(lc, 0) << live_top;
+    EXPECT_EQ(live_top, file_top) << shards << " shard(s)";
+    ASSERT_EQ(push(3), 0);
+
+    std::string serve_out;
+    char buf[512];
+    while (std::fgets(buf, sizeof(buf), serve)) serve_out += buf;
+    const int status = pclose(serve);
+    ASSERT_TRUE(WIFEXITED(status)) << serve_out;
+    EXPECT_EQ(WEXITSTATUS(status), 0) << serve_out;
+    const std::string line = serve_out.substr(0, serve_out.find('\n'));
+    EXPECT_TRUE(json_valid(line)) << line.size() << " bytes: " << line;
+    std::size_t hitters = 0;
+    for (auto at = line.find("\"label\":"); at != std::string::npos;
+         at = line.find("\"label\":", at + 1)) {
+      ++hitters;
+    }
+    EXPECT_EQ(hitters, 200u) << line;
+    EXPECT_EQ(slurp(net_sk), slurp(merged)) << shards << " shard(s)";
+  }
 }
 
 // The query engine end to end as real processes: a serve referee takes

@@ -458,6 +458,123 @@ TYPED_TEST(QueryHashMatrix, EvaluatorMatchesExactAcrossFamilies) {
   EXPECT_DOUBLE_EQ(fx.exact("site:0 & site:1"), 6'000.0);
 }
 
+// ------------------------------------------------ two-set expressions
+//
+// The classic coordinated-sampling quantities between two streams —
+// union, intersection, difference, Jaccard as |A & B| / |A | B| — are just
+// two-operand expressions.
+
+query::QueryResult two_site_query(const std::string& text, const F0Estimator& a,
+                                  const F0Estimator& b) {
+  query::ResolveSketch resolve = [&](const Expr& leaf) -> const F0Estimator* {
+    if (leaf.operand != OperandKind::kSite || leaf.id > 1) return nullptr;
+    return leaf.id == 0 ? &a : &b;
+  };
+  return query::run_query(text, resolve);
+}
+
+double two_site_jaccard(const F0Estimator& a, const F0Estimator& b) {
+  return two_site_query("site:0 & site:1", a, b).estimate /
+         two_site_query("site:0 | site:1", a, b).estimate;
+}
+
+TEST(QuerySetExpressions, ExactCountsInTheSmallRegime) {
+  // |A| = |B| = 100 with 40 shared: everything fits every copy at level 0,
+  // so each answer is an exact count.
+  const EstimatorParams p{.capacity = 1024, .copies = 3, .seed = 9};
+  F0Estimator a(p), b(p);
+  Xoshiro256 rng(1);
+  for (int i = 0; i < 40; ++i) {
+    const std::uint64_t x = rng.next();
+    a.add(x);
+    b.add(x);
+  }
+  for (int i = 0; i < 60; ++i) a.add(rng.next());
+  for (int i = 0; i < 60; ++i) b.add(rng.next());
+  const query::QueryResult uni = two_site_query("site:0 | site:1", a, b);
+  EXPECT_EQ(uni.level, 0);
+  EXPECT_DOUBLE_EQ(uni.estimate, 160.0);
+  EXPECT_DOUBLE_EQ(two_site_query("site:0 & site:1", a, b).estimate, 40.0);
+  EXPECT_DOUBLE_EQ(two_site_query("site:0 \\ site:1", a, b).estimate, 60.0);
+  EXPECT_DOUBLE_EQ(two_site_jaccard(a, b), 0.25);
+}
+
+TEST(QuerySetExpressions, DisjointSetsGiveZeroIntersection) {
+  const auto params = EstimatorParams::for_guarantee(0.1, 0.05, 22);
+  F0Estimator a(params), b(params);
+  Xoshiro256 rng(4);
+  for (int i = 0; i < 40'000; ++i) a.add(rng.next() | 1);      // odd labels
+  for (int i = 0; i < 40'000; ++i) b.add(rng.next() & ~1ull);  // even labels
+  EXPECT_DOUBLE_EQ(two_site_query("site:0 & site:1", a, b).estimate, 0.0);
+  EXPECT_DOUBLE_EQ(two_site_jaccard(a, b), 0.0);
+}
+
+TEST(QuerySetExpressions, IdenticalSetsGiveIntersectionEqualToUnion) {
+  const auto params = EstimatorParams::for_guarantee(0.1, 0.05, 23);
+  F0Estimator a(params), b(params);
+  Xoshiro256 rng(5);
+  for (int i = 0; i < 50'000; ++i) {
+    const std::uint64_t x = rng.next();
+    a.add(x);
+    b.add(x);
+  }
+  EXPECT_DOUBLE_EQ(two_site_query("site:0 & site:1", a, b).estimate,
+                   two_site_query("site:0 | site:1", a, b).estimate);
+  EXPECT_DOUBLE_EQ(two_site_query("site:0 \\ site:1", a, b).estimate, 0.0);
+  EXPECT_DOUBLE_EQ(two_site_jaccard(a, b), 1.0);
+}
+
+TEST(QuerySetExpressions, UnionMatchesTheMergeEstimate) {
+  // While the union fits in capacity the merge raises no level, so the
+  // expression union and merge-then-estimate count the same sample.
+  const EstimatorParams p{.capacity = 4096, .copies = 5, .seed = 24};
+  F0Estimator a(p), b(p);
+  Xoshiro256 rng(6);
+  for (int i = 0; i < 1500; ++i) a.add(rng.next());
+  for (int i = 0; i < 1500; ++i) b.add(rng.next());
+  F0Estimator merged = a;
+  merged.merge(b);
+  EXPECT_DOUBLE_EQ(two_site_query("site:0 | site:1", a, b).estimate, merged.estimate());
+
+  // Under pressure the merge raises its level and the two differ, but both
+  // stay within the error band.
+  const auto params = EstimatorParams::for_guarantee(0.1, 0.05, 24);
+  F0Estimator c(params), d(params);
+  for (int i = 0; i < 30'000; ++i) c.add(rng.next());
+  for (int i = 0; i < 30'000; ++i) d.add(rng.next());
+  F0Estimator both = c;
+  both.merge(d);
+  EXPECT_NEAR(two_site_query("site:0 | site:1", c, d).estimate, 60'000.0, 6'000.0);
+  EXPECT_NEAR(both.estimate(), 60'000.0, 6'000.0);
+}
+
+TEST(QuerySetExpressions, MismatchedSeedsRejected) {
+  const F0Estimator a(EstimatorParams{.capacity = 32, .copies = 3, .seed = 1});
+  const F0Estimator b(EstimatorParams{.capacity = 32, .copies = 3, .seed = 9});
+  EXPECT_THROW((void)two_site_query("site:0 & site:1", a, b), QueryError);
+}
+
+// Unions over subsets of sites and comparisons between site groups: the
+// referee keeps every site's sketch and the expression names the subset.
+TEST(QuerySetExpressions, SubsetUnionsAndGroupOverlapMatchExactRecounts) {
+  const auto p = EstimatorParams::for_guarantee(0.1, 0.05, 404);
+  const auto w = make_distributed_workload(
+      {.sites = 6, .union_distinct = 60'000, .overlap = 0.4, .duplication = 2.0, .seed = 3});
+  Fixture<F0Estimator> fx;
+  for (const auto& stream : w.site_streams) {
+    std::vector<std::uint64_t> labels;
+    for (const Item& item : stream) labels.push_back(item.label);
+    fx.add_site(labels, p);
+  }
+  for (const char* text : {"site:0", "site:1 | site:2", "site:0 | site:3 | site:5",
+                           "site:0 | site:1 | site:2 | site:3 | site:4 | site:5"}) {
+    EXPECT_NEAR(fx.evaluate(text).estimate / fx.exact(text), 1.0, 0.1) << text;
+  }
+  EXPECT_DOUBLE_EQ(fx.evaluate("site:2").estimate, fx.sketches[2].estimate());
+  const char* overlap = "(site:0 | site:1 | site:2) & (site:3 | site:4 | site:5)";
+  EXPECT_NEAR(fx.evaluate(overlap).estimate / fx.exact(overlap), 1.0, 0.25);
+}
+
 // -------------------------------------------------------------- service
 
 TEST(QueryService, RunQueryFormatsTextAndJson) {
