@@ -14,6 +14,7 @@
 // cannot also degrade the table.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -109,12 +110,22 @@ class DenseMap {
     rebuild(kMinSlots);
   }
 
+  // Empties the map but keeps its probe-table size and entry storage, so
+  // a map sized once for a bound can be refilled up to it without regrowing.
+  void reset() noexcept {
+    std::fill(slots_.begin(), slots_.end(), 0);
+    entries_.clear();
+  }
+
   // Dense iteration over live entries, in insertion(-ish) order.
   auto begin() noexcept { return entries_.begin(); }
   auto end() noexcept { return entries_.end(); }
   auto begin() const noexcept { return entries_.begin(); }
   auto end() const noexcept { return entries_.end(); }
   const std::vector<Entry>& entries() const noexcept { return entries_; }
+
+  // Probe-table slots; the map grows once size() exceeds 7/8 of them.
+  std::size_t table_size() const noexcept { return slots_.size(); }
 
   // Memory footprint in bytes (entries + probe table), for space accounting.
   std::size_t bytes_used() const noexcept {

@@ -13,8 +13,9 @@
 // The AST is deliberately dumb — five node kinds, no annotations — because
 // the two consumers want different things from it: the printer wants
 // structure (minimal-paren round trip, tests/test_query.cpp pins
-// parse(print(E)) == E), and the evaluator wants membership logic (a
-// candidate label's per-operand bitmask is pushed through the tree).
+// parse(print(E)) == E), and the evaluator wants membership logic (the
+// operands' candidate bitsets are pushed through the tree, 64 candidates
+// per word).
 #pragma once
 
 #include <cstddef>
@@ -64,7 +65,7 @@ std::string to_string(const Expr& e);
 bool structurally_equal(const Expr& a, const Expr& b);
 
 // Distinct operand leaves (by operand_key) in first-appearance order; the
-// evaluator assigns candidate-bitmask bits in this order.
+// evaluator assigns operand membership rows in this order.
 std::vector<const Expr*> collect_operands(const Expr& e);
 
 // True iff support(e) is guaranteed to be a subset of the union of e's

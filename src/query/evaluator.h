@@ -9,18 +9,21 @@
 // samples comparable — S_j^L is exactly {x in set_j : level(x) >= L}. The
 // candidate set C = union of the S_j^L then contains every sampled label of
 // every bounded expression's support, each candidate's per-operand
-// membership bitmask is exact, and
+// membership is exact, and
 //
 //   |E|  ~  2^L * |{x in C : x satisfies E}|
 //
 // with the count Binomial(|E|, 2^-L), giving the plug-in variance bound
 //   Var = |E| * (2^L - 1)   =>   SE ~ sqrt(est * (2^L - 1)).
 //
-// Per copy, that's one scan over the operands' retained entries; the
-// estimator's copies are medianed exactly like plain F0, and the reported
-// SE is the median copy's plug-in. Accuracy degrades with the ratio
-// |union of operands| / |E| — small intersections need capacity — which
-// EXPERIMENTS.md E19 quantifies against exact ground truth.
+// Per copy, that's one scan over the operands' retained entries into a
+// candidate table sized once per call, setting one bit per (operand,
+// candidate); the compiled expression then decides 64 candidates per
+// word and the copy's count is a popcount. The estimator's copies are
+// medianed exactly like plain F0, and the reported SE is the median
+// copy's plug-in. Accuracy degrades with the ratio |union of operands| /
+// |E| — small intersections need capacity — which EXPERIMENTS.md E19
+// quantifies against exact ground truth.
 #pragma once
 
 #include <algorithm>
@@ -44,70 +47,7 @@ struct QueryResult {
   std::size_t candidates = 0; // candidate labels at level L (median copy)
 };
 
-// Postfix compilation of an Expr for fast per-candidate membership tests:
-// one pass over the tree at build time, then eval(mask) runs a tiny stack
-// machine per candidate (no pointer chasing, no allocation after reserve).
-class CompiledExpr {
- public:
-  // `bit_of` maps an operand leaf to its bitmask bit (its index in
-  // collect_operands order, deduplicated by operand_key).
-  CompiledExpr(const Expr& e,
-               const std::function<unsigned(const Expr&)>& bit_of) {
-    compile(e, bit_of);
-    stack_.reserve(prog_.size());
-  }
-
-  bool eval(std::uint64_t mask) {
-    stack_.clear();
-    for (const Inst& inst : prog_) {
-      switch (inst.op) {
-        case Op::kLeaf:
-          stack_.push_back((mask >> inst.bit) & 1u);
-          break;
-        case Op::kComplement:
-          stack_.back() ^= 1u;
-          break;
-        default: {
-          const std::uint8_t rhs = stack_.back();
-          stack_.pop_back();
-          std::uint8_t& lhs = stack_.back();
-          if (inst.op == Op::kUnion) lhs = lhs | rhs;
-          else if (inst.op == Op::kIntersect) lhs = lhs & rhs;
-          else lhs = lhs & static_cast<std::uint8_t>(rhs ^ 1u);  // difference
-          break;
-        }
-      }
-    }
-    return stack_.back() != 0;
-  }
-
- private:
-  enum class Op : std::uint8_t { kLeaf, kUnion, kIntersect, kDifference, kComplement };
-  struct Inst {
-    Op op = Op::kLeaf;
-    unsigned bit = 0;
-  };
-
-  void compile(const Expr& e, const std::function<unsigned(const Expr&)>& bit_of) {
-    if (e.kind == ExprKind::kOperand) {
-      prog_.push_back({Op::kLeaf, bit_of(e)});
-      return;
-    }
-    compile(*e.left, bit_of);
-    if (e.right) compile(*e.right, bit_of);
-    switch (e.kind) {
-      case ExprKind::kUnion: prog_.push_back({Op::kUnion, 0}); break;
-      case ExprKind::kIntersect: prog_.push_back({Op::kIntersect, 0}); break;
-      case ExprKind::kDifference: prog_.push_back({Op::kDifference, 0}); break;
-      default: prog_.push_back({Op::kComplement, 0}); break;
-    }
-  }
-
-  std::vector<Inst> prog_;
-  std::vector<std::uint8_t> stack_;
-};
-
-// Maps each distinct operand leaf to its bit index; shared by the sketch
+// Maps each distinct operand leaf to its membership row; shared by the sketch
 // and exact evaluators so their membership logic is identical by
 // construction. Throws QueryError for >64 distinct operands or an
 // unbounded expression.
@@ -131,10 +71,10 @@ class OperandTable {
   const std::vector<const Expr*>& leaves() const noexcept { return leaves_; }
   std::size_t size() const noexcept { return leaves_.size(); }
 
-  unsigned bit_of(const Expr& leaf) const {
+  std::uint32_t row_of(const Expr& leaf) const {
     const std::string key = operand_key(leaf);
     for (std::size_t i = 0; i < keys_.size(); ++i) {
-      if (keys_[i] == key) return static_cast<unsigned>(i);
+      if (keys_[i] == key) return static_cast<std::uint32_t>(i);
     }
     throw QueryError(leaf.pos, "operand '" + key + "' missing from table");
   }
@@ -142,6 +82,69 @@ class OperandTable {
  private:
   std::vector<const Expr*> leaves_;
   std::vector<std::string> keys_;
+};
+
+// The expression compiled once to a postfix program over 64-bit words. Bit
+// k of a word is candidate k's membership, so one pass decides 64
+// candidates: `|` is OR, `&` AND, `\` AND-NOT, `!` NOT.
+class WordProgram {
+ public:
+  WordProgram(const Expr& expr, const OperandTable& table);
+
+  // Candidates among columns [0, n) of the operand rows (row j starts at
+  // rows + j * stride) that satisfy the expression.
+  std::size_t count(const std::uint64_t* rows, std::size_t stride,
+                    std::size_t n);
+
+ private:
+  enum class Op : std::uint8_t { kLeaf, kUnion, kIntersect, kDifference, kComplement };
+  struct Inst {
+    Op op = Op::kLeaf;
+    std::uint32_t row = 0;  // kLeaf: the operand's row
+  };
+
+  void compile(const Expr& e, const OperandTable& table);
+
+  std::vector<Inst> prog_;
+  std::vector<std::uint64_t> stack_;  // sized to prog_ once compiled
+};
+
+// The candidate labels of one evaluation pass, numbered densely in
+// first-seen order, with one membership bitset row per operand. Sized once
+// for `max_candidates`; reset() empties it for the next pass without ever
+// regrowing the table.
+class CandidateSet {
+ public:
+  CandidateSet(std::size_t operands, std::size_t max_candidates)
+      : ids_(max_candidates),
+        stride_((max_candidates + 63) / 64),
+        rows_(operands * stride_, 0) {}
+
+  // Marks `label` as present in operand `operand`.
+  void add(std::size_t operand, std::uint64_t label) {
+    const std::uint32_t id =
+        ids_.try_emplace(label, static_cast<std::uint32_t>(ids_.size())).first->value;
+    rows_[operand * stride_ + id / 64] |= std::uint64_t{1} << (id % 64);
+  }
+
+  std::size_t size() const noexcept { return ids_.size(); }
+
+  std::size_t count(WordProgram& program) const {
+    return program.count(rows_.data(), stride_, ids_.size());
+  }
+
+  void reset() {
+    const std::size_t used = (ids_.size() + 63) / 64;
+    for (std::size_t row = 0; row < rows_.size(); row += stride_) {
+      std::fill_n(rows_.begin() + static_cast<std::ptrdiff_t>(row), used, 0);
+    }
+    ids_.reset();
+  }
+
+ private:
+  DenseMap<std::uint32_t> ids_;  // label -> candidate id
+  std::size_t stride_;           // words per operand row
+  std::vector<std::uint64_t> rows_;
 };
 
 // Evaluates `expr` over sketches named by its operands. `resolve` returns
@@ -167,9 +170,16 @@ QueryResult evaluate(const Expr& expr,
     }
     ops.push_back(est);
   }
-  CompiledExpr compiled(expr, [&](const Expr& leaf) { return table.bit_of(leaf); });
+  WordProgram program(expr, table);
 
   const std::size_t copies = ops.front()->num_copies();
+  std::size_t max_entries = 0;
+  for (std::size_t i = 0; i < copies; ++i) {
+    std::size_t entries = 0;
+    for (const Est* op : ops) entries += op->copy(i).entries().size();
+    max_entries = std::max(max_entries, entries);
+  }
+  CandidateSet candidates(ops.size(), max_entries);
   struct CopyOutcome {
     double est = 0.0;
     int level = 0;
@@ -179,23 +189,15 @@ QueryResult evaluate(const Expr& expr,
   for (std::size_t i = 0; i < copies; ++i) {
     int level = 0;
     for (const Est* op : ops) level = std::max(level, op->copy(i).level());
-    // label -> membership bitmask over operands, at the common level.
-    DenseMap<std::uint64_t> mask(64);
     for (std::size_t j = 0; j < ops.size(); ++j) {
-      const std::uint64_t bit = 1ull << j;
       for (const auto& e : ops[j]->copy(i).entries()) {
-        if (e.value.level < level) continue;
-        auto [slot, inserted] = mask.try_emplace(e.key, 0);
-        (void)inserted;
-        slot->value |= bit;
+        if (e.value.level >= level) candidates.add(j, e.key);
       }
     }
-    std::size_t count = 0;
-    for (const auto& e : mask) {
-      if (compiled.eval(e.value)) ++count;
-    }
+    const std::size_t count = candidates.count(program);
     outcomes[i] = {std::ldexp(static_cast<double>(count), level), level,
-                   mask.size()};
+                   candidates.size()};
+    candidates.reset();
   }
   // Median copy by estimate (lower middle for even copy counts, so the
   // reported level/candidates always come from a concrete copy).
@@ -217,7 +219,7 @@ QueryResult evaluate(const Expr& expr,
 }
 
 // Exact reference evaluator: operands resolve to full label sets. Same
-// candidate/bitmask machinery, no sampling — tests compare evaluate()
+// CandidateSet and WordProgram, no sampling — tests compare evaluate()
 // against this within the DLRT error envelope.
 double exact_evaluate(
     const Expr& expr,

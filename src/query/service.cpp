@@ -1,5 +1,7 @@
 #include "query/service.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 
 #include "obs/metrics.h"
@@ -31,7 +33,20 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-std::string fmt_double(double v) {
+// An estimate is count * 2^L, an integer whose every digit is meant, so
+// it prints in the shortest form strtod reads back exactly: a plain
+// decimal below 2^53.
+std::string fmt_estimate(double v) {
+  char buf[64];
+  const bool integral = std::fabs(v) < 0x1p53 && v == std::trunc(v);
+  const auto r = integral
+                     ? std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed)
+                     : std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, r.ptr);
+}
+
+// The standard error is a 1-sigma bar; six significant digits are ample.
+std::string fmt_error(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
@@ -57,7 +72,7 @@ QueryResult run_query(const std::string& text, const ResolveSketch& resolve) {
 
 std::string format_query_text(const std::string& text, const QueryResult& r) {
   std::string out = "query: " + text + "\n";
-  out += "estimate: " + fmt_double(r.estimate) + " (± " + fmt_double(r.std_error) +
+  out += "estimate: " + fmt_estimate(r.estimate) + " (± " + fmt_error(r.std_error) +
          " @1σ)\n";
   out += "level: " + std::to_string(r.level) + ", operands: " +
          std::to_string(r.operands) + ", candidates: " +
@@ -67,8 +82,8 @@ std::string format_query_text(const std::string& text, const QueryResult& r) {
 
 std::string format_query_json(const std::string& text, const QueryResult& r) {
   std::string out = "{\"query\":\"" + json_escape(text) + "\"";
-  out += ",\"estimate\":" + fmt_double(r.estimate);
-  out += ",\"std_error\":" + fmt_double(r.std_error);
+  out += ",\"estimate\":" + fmt_estimate(r.estimate);
+  out += ",\"std_error\":" + fmt_error(r.std_error);
   out += ",\"level\":" + std::to_string(r.level);
   out += ",\"operands\":" + std::to_string(r.operands);
   out += ",\"candidates\":" + std::to_string(r.candidates);

@@ -88,6 +88,43 @@ TEST(DenseMap, ClearResets) {
   EXPECT_FALSE(m.contains(3));
 }
 
+// reset() empties the map in place: across refills of different sizes it
+// must keep its table size and answer exactly like a fresh map.
+TEST(DenseMap, ResetKeepsTableSizeAndMatchesAFreshMap) {
+  DenseMap<std::uint32_t> m(4096);
+  const std::size_t table = m.table_size();
+  Xoshiro256 rng(7);
+  for (const std::size_t fill : {0u, 1u, 10u, 200u, 257u, 4000u, 3u}) {
+    std::vector<std::uint64_t> keys;
+    for (std::size_t i = 0; i < fill; ++i) {
+      // Half the keys collide in the low bits, so probe chains form.
+      keys.push_back(i % 2 == 0 ? rng.next() : (rng.below(64) << 52));
+    }
+    DenseMap<std::uint32_t> fresh(4096);
+    for (const std::uint64_t k : keys) {
+      const auto id = static_cast<std::uint32_t>(m.size());
+      EXPECT_EQ(m.try_emplace(k, id).second,
+                fresh.try_emplace(k, static_cast<std::uint32_t>(fresh.size())).second);
+    }
+    ASSERT_EQ(m.size(), fresh.size());
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      EXPECT_EQ(m.entries()[i].key, fresh.entries()[i].key);
+      EXPECT_EQ(m.entries()[i].value, fresh.entries()[i].value);
+    }
+    for (const std::uint64_t k : keys) {
+      ASSERT_NE(m.find(k), nullptr);
+      EXPECT_EQ(m.find(k)->value, fresh.find(k)->value);
+    }
+    EXPECT_EQ(m.find(rng.next()), nullptr);
+    EXPECT_EQ(m.table_size(), table) << "fill " << fill;
+
+    m.reset();
+    EXPECT_TRUE(m.empty());
+    EXPECT_EQ(m.table_size(), table);
+    for (const std::uint64_t k : keys) EXPECT_FALSE(m.contains(k)) << k;
+  }
+}
+
 TEST(DenseMap, BytesUsedGrows) {
   DenseMap<int> small;
   DenseMap<int> big;

@@ -2,14 +2,18 @@
 // error offsets, a parser fuzzer (token soup + mutations of valid
 // expressions — the `fuzz` label the sanitizer presets run), the DLRT
 // common-threshold evaluator against exact ground truth across workload
-// shapes and every hash family, and the grouped-collection ledger.
+// shapes and every hash family, the evaluator against a test-only
+// reference implementation (bit for bit), and the grouped-collection
+// ledger.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/frame.h"
@@ -133,9 +137,16 @@ TEST(QueryParser, BoundednessRules) {
 
 // ----------------------------------------------------------------- fuzz
 
-ExprPtr random_leaf(Xoshiro256& rng) {
+// A leaf over `pool` sites (site:0 .. site:pool-1) when pool > 0, else a
+// mix of site:, group: and bare-name operands.
+ExprPtr random_leaf(Xoshiro256& rng, std::uint32_t pool = 0) {
   auto e = std::make_unique<Expr>();
   e->kind = ExprKind::kOperand;
+  if (pool > 0) {
+    e->operand = OperandKind::kSite;
+    e->id = static_cast<std::uint32_t>(rng.below(pool));
+    return e;
+  }
   switch (rng.below(3)) {
     case 0:
       e->operand = OperandKind::kSite;
@@ -153,8 +164,8 @@ ExprPtr random_leaf(Xoshiro256& rng) {
   return e;
 }
 
-ExprPtr random_expr(Xoshiro256& rng, int depth) {
-  if (depth <= 0 || rng.below(3) == 0) return random_leaf(rng);
+ExprPtr random_expr(Xoshiro256& rng, int depth, std::uint32_t pool = 0) {
+  if (depth <= 0 || rng.below(3) == 0) return random_leaf(rng, pool);
   auto e = std::make_unique<Expr>();
   switch (rng.below(4)) {
     case 0: e->kind = ExprKind::kUnion; break;
@@ -162,8 +173,8 @@ ExprPtr random_expr(Xoshiro256& rng, int depth) {
     case 2: e->kind = ExprKind::kDifference; break;
     default: e->kind = ExprKind::kComplement; break;
   }
-  e->left = random_expr(rng, depth - 1);
-  if (e->kind != ExprKind::kComplement) e->right = random_expr(rng, depth - 1);
+  e->left = random_expr(rng, depth - 1, pool);
+  if (e->kind != ExprKind::kComplement) e->right = random_expr(rng, depth - 1, pool);
   return e;
 }
 
@@ -377,7 +388,7 @@ TEST(QueryEvaluator, AssociativityAndCommutativityAreExact) {
     EXPECT_DOUBLE_EQ(fx.evaluate(law.a).estimate, fx.evaluate(law.b).estimate)
         << law.a << " vs " << law.b;
   }
-  // Duplicated operands collapse onto one bitmask bit.
+  // Duplicated operands collapse onto one membership row.
   EXPECT_DOUBLE_EQ(fx.evaluate("site:0 & site:0").estimate,
                    fx.evaluate("site:0").estimate);
   EXPECT_DOUBLE_EQ(fx.evaluate("site:0 \\ site:0").estimate, 0.0);
@@ -456,6 +467,251 @@ TYPED_TEST(QueryHashMatrix, EvaluatorMatchesExactAcrossFamilies) {
     expect_within_envelope(fx.evaluate(text), fx.exact(text), text);
   }
   EXPECT_DOUBLE_EQ(fx.exact("site:0 & site:1"), 6'000.0);
+}
+
+// ------------------------------------------- differential reference
+//
+// A test-only evaluator that shares nothing with query::evaluate beyond
+// the AST: per copy, a std::unordered_map of candidate -> operand bitmask,
+// then a recursive walk of the Expr for every candidate. evaluate() must
+// match it exactly — same level, candidates, estimate and SE — on random
+// expressions over 1 to 64 distinct operands.
+
+using LeafIndex = std::unordered_map<const Expr*, unsigned>;
+
+// Numbers every leaf by its operand's position in collect_operands order.
+void index_leaves(const Expr& e, const std::vector<std::string>& keys, LeafIndex& out) {
+  if (e.kind == ExprKind::kOperand) {
+    const auto at = std::find(keys.begin(), keys.end(), query::operand_key(e));
+    out[&e] = static_cast<unsigned>(at - keys.begin());
+    return;
+  }
+  index_leaves(*e.left, keys, out);
+  if (e.right) index_leaves(*e.right, keys, out);
+}
+
+bool reference_member(const Expr& e, const LeafIndex& leaves, std::uint64_t mask) {
+  switch (e.kind) {
+    case ExprKind::kOperand: return ((mask >> leaves.at(&e)) & 1u) != 0;
+    case ExprKind::kUnion:
+      return reference_member(*e.left, leaves, mask) ||
+             reference_member(*e.right, leaves, mask);
+    case ExprKind::kIntersect:
+      return reference_member(*e.left, leaves, mask) &&
+             reference_member(*e.right, leaves, mask);
+    case ExprKind::kDifference:
+      return reference_member(*e.left, leaves, mask) &&
+             !reference_member(*e.right, leaves, mask);
+    case ExprKind::kComplement: return !reference_member(*e.left, leaves, mask);
+  }
+  return false;
+}
+
+struct Reference {
+  std::vector<std::string> keys;  // operand keys, collect_operands order
+  LeafIndex leaves;
+
+  explicit Reference(const Expr& expr) {
+    for (const Expr* leaf : query::collect_operands(expr)) {
+      keys.push_back(query::operand_key(*leaf));
+    }
+    index_leaves(expr, keys, leaves);
+  }
+
+  // ops[j] is the sketch of operand keys[j].
+  query::QueryResult evaluate(const Expr& expr,
+                              const std::vector<const F0Estimator*>& ops) const {
+    const std::size_t copies = ops.front()->num_copies();
+    std::vector<query::QueryResult> per_copy(copies);
+    for (std::size_t i = 0; i < copies; ++i) {
+      int level = 0;
+      for (const F0Estimator* op : ops) level = std::max(level, op->copy(i).level());
+      std::unordered_map<std::uint64_t, std::uint64_t> candidates;
+      for (std::size_t j = 0; j < ops.size(); ++j) {
+        for (const auto& e : ops[j]->copy(i).entries()) {
+          if (e.value.level >= level) candidates[e.key] |= std::uint64_t{1} << j;
+        }
+      }
+      std::size_t count = 0;
+      for (const auto& [label, mask] : candidates) {
+        if (reference_member(expr, leaves, mask)) ++count;
+      }
+      per_copy[i].estimate = std::ldexp(static_cast<double>(count), level);
+      per_copy[i].level = level;
+      per_copy[i].candidates = candidates.size();
+    }
+    // The median rule: copies sorted by estimate, the lower middle one.
+    std::vector<std::size_t> order(copies);
+    for (std::size_t i = 0; i < copies; ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return per_copy[a].estimate < per_copy[b].estimate;
+    });
+    query::QueryResult r = per_copy[order[(copies - 1) / 2]];
+    r.std_error = std::sqrt(r.estimate * (std::ldexp(1.0, r.level) - 1.0));
+    r.operands = keys.size();
+    return r;
+  }
+
+  // |E| recounted over std::sets of the operands' full label sets.
+  std::size_t exact(const Expr& expr,
+                    const std::vector<std::set<std::uint64_t>>& sets) const {
+    std::set<std::uint64_t> universe;
+    for (const auto& set : sets) universe.insert(set.begin(), set.end());
+    std::size_t count = 0;
+    for (const std::uint64_t x : universe) {
+      std::uint64_t mask = 0;
+      for (std::size_t j = 0; j < sets.size(); ++j) {
+        if (sets[j].count(x) != 0) mask |= std::uint64_t{1} << j;
+      }
+      if (reference_member(expr, leaves, mask)) ++count;
+    }
+    return count;
+  }
+};
+
+ExprPtr make_node(ExprKind kind, ExprPtr left, ExprPtr right) {
+  auto e = std::make_unique<Expr>();
+  e->kind = kind;
+  e->left = std::move(left);
+  e->right = std::move(right);
+  return e;
+}
+
+ExprPtr site_leaf(std::uint32_t id) {
+  auto e = std::make_unique<Expr>();
+  e->operand = OperandKind::kSite;
+  e->id = id;
+  return e;
+}
+
+// A random bounded expression over exactly `operands` distinct sites:
+// random subtrees joined by random binary operators until every site
+// appears, often followed by `& !site:x`, and intersected with a site when
+// the result would be unbounded.
+ExprPtr random_bounded_expr(Xoshiro256& rng, std::uint32_t operands) {
+  constexpr ExprKind kBinary[] = {ExprKind::kUnion, ExprKind::kIntersect,
+                                  ExprKind::kDifference};
+  ExprPtr e = random_expr(rng, 4, operands);
+  while (query::collect_operands(*e).size() < operands) {
+    e = make_node(kBinary[rng.below(3)], std::move(e), random_expr(rng, 4, operands));
+  }
+  if (rng.below(2) == 0) {
+    auto negated = std::make_unique<Expr>();
+    negated->kind = ExprKind::kComplement;
+    negated->left = site_leaf(static_cast<std::uint32_t>(rng.below(operands)));
+    e = make_node(ExprKind::kIntersect, std::move(e), std::move(negated));
+  }
+  if (!query::is_bounded(*e)) {
+    e = make_node(ExprKind::kIntersect,
+                  site_leaf(static_cast<std::uint32_t>(rng.below(operands))),
+                  std::move(e));
+  }
+  return e;
+}
+
+// Runs `expr` through evaluate(), exact_evaluate() and the reference, over
+// the fixture's sites, and asserts they agree exactly.
+void expect_matches_reference(const Fixture<F0Estimator>& fx, const Expr& expr) {
+  const std::string text = query::to_string(expr);
+  const Reference ref(expr);
+  std::vector<const F0Estimator*> ops;
+  std::vector<std::set<std::uint64_t>> sets;
+  for (const Expr* leaf : query::collect_operands(expr)) {
+    ops.push_back(&fx.sketches.at(leaf->id));
+    sets.emplace_back(fx.sets.at(leaf->id).begin(), fx.sets.at(leaf->id).end());
+  }
+  const query::QueryResult got = fx.evaluate(text);
+  const query::QueryResult want = ref.evaluate(expr, ops);
+  EXPECT_EQ(got.estimate, want.estimate) << text;
+  EXPECT_EQ(got.std_error, want.std_error) << text;
+  EXPECT_EQ(got.level, want.level) << text;
+  EXPECT_EQ(got.candidates, want.candidates) << text;
+  EXPECT_EQ(got.operands, want.operands) << text;
+  EXPECT_EQ(fx.exact(text), static_cast<double>(ref.exact(expr, sets))) << text;
+}
+
+TEST(QueryDifferential, RandomExpressionsOverOneToSixtyFourOperands) {
+  // Small capacity over a shared universe: operands sit at different
+  // levels copy by copy, so the common level and its filtering matter.
+  const EstimatorParams p{.capacity = 48, .copies = 5, .seed = 91};
+  Xoshiro256 rng(92);
+  std::vector<std::uint64_t> universe(600);
+  for (auto& x : universe) x = rng.next();
+  Fixture<F0Estimator> fx;
+  for (int s = 0; s < 64; ++s) {
+    std::vector<std::uint64_t> labels;
+    const std::size_t size = 1 + rng.below(universe.size());
+    for (std::size_t k = 0; k < size; ++k) labels.push_back(universe[rng.below(universe.size())]);
+    fx.add_site(labels, p);
+  }
+  for (std::uint32_t operands = 1; operands <= 64; ++operands) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const ExprPtr e = random_bounded_expr(rng, operands);
+      ASSERT_EQ(query::collect_operands(*e).size(), operands);
+      expect_matches_reference(fx, *e);
+    }
+  }
+}
+
+TEST(QueryDifferential, CandidateCountsOnAndAroundWordBoundaries) {
+  // Capacity above every union: all copies stay at level 0, so each copy's
+  // candidate count is exactly the union of the operands' sets.
+  const EstimatorParams p{.capacity = 1024, .copies = 3, .seed = 93};
+  Xoshiro256 rng(94);
+  const char* const exprs[] = {
+      "site:0 & !site:1 & !site:2", "(site:0 | site:2) & !site:1",
+      "site:2 \\ (site:0 & site:1)", "site:0 | site:1 | site:2",
+      "(site:1 & !site:0) | (site:2 & !site:1)"};
+  std::vector<std::size_t> sizes = {1, 2};
+  for (std::size_t k = 1; k <= 4; ++k) {
+    for (const std::size_t n : {64 * k - 1, 64 * k, 64 * k + 1}) sizes.push_back(n);
+  }
+  for (const std::size_t n : sizes) {
+    // Every label lands in a random non-empty subset of the three sites.
+    std::vector<std::vector<std::uint64_t>> labels(3);
+    for (std::size_t x = 0; x < n; ++x) {
+      const std::uint64_t label = rng.next();
+      const std::uint64_t in = 1 + rng.below(7);
+      for (std::size_t s = 0; s < 3; ++s) {
+        if ((in >> s) & 1u) labels[s].push_back(label);
+      }
+    }
+    Fixture<F0Estimator> fx;
+    for (const auto& l : labels) fx.add_site(l, p);
+    for (const char* text : exprs) {
+      const ExprPtr e = query::parse(text);
+      expect_matches_reference(fx, *e);
+      EXPECT_EQ(fx.evaluate(text).candidates, n) << text;
+    }
+  }
+}
+
+// `a & !b` is bounded, but its sub-expression `!b` is not: run on its own,
+// the NOT sets every bit past the last candidate, and count() must drop
+// them. One CandidateSet is reused across sizes, so reset() must also
+// leave no stale bits behind.
+TEST(QueryDifferential, WordProgramMasksTheLastWord) {
+  const ExprPtr e = query::parse("a & !b");
+  const query::OperandTable table(*e);
+  query::WordProgram whole(*e, table);
+  query::WordProgram not_b(*e->right, table);
+  query::CandidateSet candidates(table.size(), 4 * 64);
+  for (const std::size_t n : {129u, 1u, 63u, 64u, 65u, 191u, 192u, 193u, 2u, 256u, 0u, 127u}) {
+    // b's members shift with n, so stale bits from a previous size show.
+    std::size_t in_b = 0;
+    for (std::uint64_t x = 0; x < n; ++x) {
+      candidates.add(0, x);
+      if ((x + n) % 3 == 0) {
+        candidates.add(1, x);
+        ++in_b;
+      }
+    }
+    ASSERT_EQ(candidates.size(), n);
+    EXPECT_EQ(candidates.count(not_b), n - in_b) << n;
+    EXPECT_EQ(candidates.count(whole), n - in_b) << n;
+    candidates.reset();
+    EXPECT_EQ(candidates.size(), 0u);
+  }
 }
 
 // ------------------------------------------------ two-set expressions
@@ -601,6 +857,34 @@ TEST(QueryService, RunQueryFormatsTextAndJson) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
   EXPECT_THROW((void)query::run_query("site:0 &", resolve), QueryError);
+}
+
+// Estimates are count * 2^L, so large ones carry more than six significant
+// digits; both renderings must read the estimate back exactly.
+TEST(QueryService, LargeEstimatesSurviveFormatting) {
+  for (const double estimate : {std::ldexp(1.0, 21) + 1.0, std::ldexp(1234567.0, 5),
+                                std::ldexp(987654321.0, 12)}) {
+    query::QueryResult r;
+    r.estimate = estimate;
+    r.std_error = std::sqrt(estimate * 31.0);
+    r.level = 5;
+    const std::string json = query::format_query_json("site:0", r);
+    const auto number_after = [](const std::string& s, const std::string& key) {
+      const std::size_t at = s.find(key);
+      EXPECT_NE(at, std::string::npos) << key;
+      return std::strtod(s.c_str() + at + key.size(), nullptr);
+    };
+    EXPECT_EQ(number_after(json, "\"estimate\":"), r.estimate) << json;
+    EXPECT_NEAR(number_after(json, "\"std_error\":"), r.std_error, 1e-5 * r.std_error);
+    const std::string text = query::format_query_text("site:0", r);
+    EXPECT_EQ(number_after(text, "estimate: "), r.estimate) << text;
+    EXPECT_NEAR(number_after(text, "(± "), r.std_error, 1e-5 * r.std_error);
+  }
+  // Estimates print as plain decimals, never as "1e+05".
+  query::QueryResult r;
+  r.estimate = 100000.0;
+  EXPECT_NE(query::format_query_json("a", r).find("\"estimate\":100000,"),
+            std::string::npos);
 }
 
 TEST(QueryService, PercentEncodingRoundTripsAndRejectsMalformed) {
