@@ -124,6 +124,31 @@ void BM_EstimatorIngestBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EstimatorIngestBatch);
 
+// A T2 site's whole job (the oneshot_f0 site build): a fresh eps 0.1 /
+// delta 0.05 estimator (capacity 3600, 37 copies) ingests 2^17 distinct
+// labels in 16384-label batches — six level raises per copy — then
+// serializes its one message. Items are labels ingested.
+void BM_EstimatorIngestFresh(benchmark::State& state) {
+  constexpr std::size_t kLabels = 1 << 17;
+  constexpr std::size_t kBatch = 16384;
+  std::vector<std::uint64_t> labels(kLabels);
+  Xoshiro256 rng(11);
+  for (auto& l : labels) l = rng.next();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    F0Estimator est(0.1, 0.05, 7);
+    for (std::size_t i = 0; i < kLabels; i += kBatch) {
+      est.add_batch(std::span<const std::uint64_t>(labels.data() + i, kBatch));
+    }
+    const auto payload = est.serialize();
+    bytes = payload.size();
+    benchmark::DoNotOptimize(payload.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kLabels));
+  state.counters["wire_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_EstimatorIngestFresh)->Unit(benchmark::kMillisecond);
+
 // Single-sampler update throughput vs capacity. Labels are pre-generated
 // so the RNG is out of the measured loop.
 void BM_SamplerAdd_Capacity(benchmark::State& state) {

@@ -1,6 +1,12 @@
 #include "common/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define USTREAM_HAS_X86_DISPATCH 1
+#include <immintrin.h>
+#endif  // USTREAM_HAS_X86_DISPATCH
 
 namespace ustream {
 namespace {
@@ -30,9 +36,36 @@ struct Tables {
 
 constexpr Tables kTables{};
 
+#if USTREAM_HAS_X86_DISPATCH
+// The SSE4.2 crc32 instruction computes exactly this CRC (reflected
+// Castagnoli), eight bytes per instruction.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
+    std::span<const std::uint8_t> data, std::uint32_t crc) noexcept {
+  std::uint64_t c = ~crc;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, 8);
+    c = _mm_crc32_u64(c, word);
+  }
+  auto c32 = static_cast<std::uint32_t>(c);
+  for (; n > 0; --n) c32 = _mm_crc32_u8(c32, *p++);
+  return ~c32;
+}
+#endif  // USTREAM_HAS_X86_DISPATCH
+
 }  // namespace
 
 std::uint32_t crc32c(std::span<const std::uint8_t> data, std::uint32_t crc) noexcept {
+#if USTREAM_HAS_X86_DISPATCH
+  static const bool kHasSse42 = __builtin_cpu_supports("sse4.2") > 0;
+  if (kHasSse42) return crc32c_sse42(data, crc);
+#endif
+  return crc32c_sw(data, crc);
+}
+
+std::uint32_t crc32c_sw(std::span<const std::uint8_t> data, std::uint32_t crc) noexcept {
   const auto& t = kTables.t;
   std::uint32_t c = ~crc;
   const std::uint8_t* p = data.data();

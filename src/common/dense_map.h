@@ -5,7 +5,9 @@
 //   * insert-if-absent and lookup are the hot operations;
 //   * deletion only ever happens in bulk ("drop every entry below level l"),
 //     implemented as an in-place filter + index rebuild, so the probe table
-//     needs no tombstones;
+//     needs no tombstones; the rebuild keeps the table at the size the map
+//     was presized for, so a sampler that raises its level and refills
+//     never pays a shrink and a regrow;
 //   * iteration over live entries must be cache-friendly (dense vector).
 //
 // The probe table stores 1-based indices into the entry vector; 0 = empty.
@@ -44,9 +46,16 @@ class DenseMap {
   };
 
   DenseMap() { rebuild(kMinSlots); }
-  explicit DenseMap(std::size_t expected_size) {
-    rebuild(table_size_for(expected_size));
+  explicit DenseMap(std::size_t expected_size) : floor_slots_(table_size_for(expected_size)) {
+    rebuild(floor_slots_);
     entries_.reserve(expected_size);
+  }
+
+  // Makes room for n entries without a regrow. Unlike presizing through
+  // the constructor, this sets no floor: a later filter() shrinks to fit.
+  void reserve(std::size_t n) {
+    if (table_size_for(n) > slots_.size()) rebuild(table_size_for(n));
+    entries_.reserve(n);
   }
 
   std::size_t size() const noexcept { return entries_.size(); }
@@ -90,8 +99,9 @@ class DenseMap {
   bool contains(std::uint64_t key) const noexcept { return find(key) != nullptr; }
 
   // Keeps exactly the entries for which pred(entry) is true; single pass,
-  // then rebuilds the probe table. This is the bulk "raise the level"
-  // eviction used by samplers.
+  // then re-indexes the survivors. This is the bulk "raise the level"
+  // eviction used by samplers. The probe table shrinks to fit the
+  // survivors, but never below the size the constructor presized it for.
   template <typename Pred>
   void filter(Pred pred) {
     std::size_t w = 0;
@@ -146,7 +156,7 @@ class DenseMap {
     reindex_into_current();
   }
 
-  void reindex() { rebuild(table_size_for(entries_.size())); }
+  void reindex() { rebuild(std::max(floor_slots_, table_size_for(entries_.size()))); }
 
   void grow() {
     slots_.assign(slots_.size() * 2, 0);
@@ -164,6 +174,7 @@ class DenseMap {
 
   std::vector<Entry> entries_;
   std::vector<std::uint32_t> slots_;
+  std::size_t floor_slots_ = kMinSlots;  // filter() never shrinks the table below this
 };
 
 // A set of uint64 keys built on DenseMap; used by the exact baseline.

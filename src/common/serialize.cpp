@@ -24,11 +24,8 @@ void ByteWriter::f64(double v) {
 }
 
 void ByteWriter::varint(std::uint64_t v) {
-  while (v >= 0x80) {
-    buf_.push_back(static_cast<std::uint8_t>(v) | 0x80u);
-    v >>= 7;
-  }
-  buf_.push_back(static_cast<std::uint8_t>(v));
+  std::uint8_t tmp[10];
+  buf_.insert(buf_.end(), tmp, put_varint(tmp, v));
 }
 
 void ByteWriter::svarint(std::int64_t v) {

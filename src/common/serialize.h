@@ -16,6 +16,17 @@
 
 namespace ustream {
 
+// Writes v as an unsigned LEB128 varint at p (1-10 bytes); returns one past
+// the last byte written.
+inline std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) noexcept {
+  while (v >= 0x80) {
+    *p++ = static_cast<std::uint8_t>(v) | 0x80u;
+    v >>= 7;
+  }
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
+}
+
 class ByteWriter {
  public:
   ByteWriter() = default;
@@ -32,6 +43,19 @@ class ByteWriter {
   void svarint(std::int64_t v);
   void bytes(std::span<const std::uint8_t> data);
   void str(const std::string& s);
+
+  // Raw append for hot encoders: grows the buffer by `max_bytes` and
+  // returns where they start. The caller writes through the pointer (e.g.
+  // with put_varint) and passes one past its last byte to end_raw(), which
+  // trims the unused tail; no other write may come in between.
+  std::uint8_t* begin_raw(std::size_t max_bytes) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + max_bytes);
+    return buf_.data() + at;
+  }
+  void end_raw(const std::uint8_t* end) noexcept {
+    buf_.resize(static_cast<std::size_t>(end - buf_.data()));
+  }
 
   const std::vector<std::uint8_t>& data() const noexcept { return buf_; }
   std::vector<std::uint8_t> take() noexcept { return std::move(buf_); }

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -32,6 +33,7 @@
 
 #include "common/dense_map.h"
 #include "common/error.h"
+#include "common/radix_sort.h"
 #include "common/serialize.h"
 #include "hash/batch.h"
 #include "hash/level.h"
@@ -50,21 +52,26 @@ namespace detail {
 template <typename V>
 struct ValueCodec;
 
-// kMaxBytes is the worst-case encoded size of one value; serialize() sizes
-// its buffer from it, so every codec must keep it in sync with write().
+// kMaxBytes is the worst-case encoded size of one value; the serializers
+// write through a raw buffer sized from it, so every codec must keep it in
+// sync with put().
 template <>
 struct ValueCodec<Unit> {
   static constexpr std::uint8_t kTag = 0;
   static constexpr std::size_t kMaxBytes = 0;
-  static void write(ByteWriter&, Unit) {}
+  static std::uint8_t* put(std::uint8_t* p, Unit) noexcept { return p; }
   static Unit read(ByteReader&) { return {}; }
 };
 
 template <>
 struct ValueCodec<double> {
   static constexpr std::uint8_t kTag = 1;
-  static constexpr std::size_t kMaxBytes = 8;  // fixed-width f64
-  static void write(ByteWriter& w, double v) { w.f64(v); }
+  static constexpr std::size_t kMaxBytes = 8;  // fixed-width little-endian f64
+  static std::uint8_t* put(std::uint8_t* p, double v) noexcept {
+    const auto u = std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) *p++ = static_cast<std::uint8_t>(u >> (8 * i));
+    return p;
+  }
   static double read(ByteReader& r) { return r.f64(); }
 };
 
@@ -72,7 +79,9 @@ template <>
 struct ValueCodec<std::uint64_t> {
   static constexpr std::uint8_t kTag = 2;
   static constexpr std::size_t kMaxBytes = 10;  // LEB128 worst case
-  static void write(ByteWriter& w, std::uint64_t v) { w.varint(v); }
+  static std::uint8_t* put(std::uint8_t* p, std::uint64_t v) noexcept {
+    return put_varint(p, v);
+  }
   static std::uint64_t read(ByteReader& r) { return r.varint(); }
 };
 }  // namespace detail
@@ -112,31 +121,80 @@ class CoordinatedSampler {
     add_survivor(label, value, h);
   }
 
+  // Working buffers for add_batch, reusable across calls and samplers (an
+  // F0Estimator shares one among its copies for each batch).
+  struct BatchScratch {
+    std::vector<std::uint64_t> labels;  // survivors set aside for the top-down path
+    std::vector<std::uint8_t> levels;   // their levels
+    std::vector<std::uint64_t> sorted;  // the same labels grouped by level, highest first
+  };
+
   // Batched ingestion. Bit-identical to calling add() per label in order —
-  // property-tested via serialized-bytes equality — but hashes a 64-label
-  // block into a stack buffer via hash_block() (SIMD for PairwiseHash) and
-  // gets the threshold test back as a survivor bitmask. Once the level is
-  // >= 1 most blocks come back all-rejected and the loop advances 64 items
-  // on a single compare, never touching sampler memory.
+  // property-tested via serialized-bytes equality — but it evicts at most
+  // once per batch (docs/ALGORITHM.md §6). The state after any stream is
+  // the survivor set at the minimal feasible level, a function of the
+  // labels seen alone, so a batch can find its final level before it
+  // evicts anything. Labels are hashed 64 at a time by hash_block() (SIMD
+  // for PairwiseHash), which returns the threshold test as a survivor
+  // bitmask; a leveled sampler sees mostly all-rejected blocks. Survivors
+  // then take one of two paths:
+  //   * while a block's survivors cannot overflow the sample, they are
+  //     inserted in stream order as they come;
+  //   * once they might — from the start when the batch's expected
+  //     survivors, labels.size() / 2^level, exceed the free room — the
+  //     rest that the sample does not already hold are set aside. If they
+  //     fit after all they go in in stream order; otherwise they are
+  //     counting-sorted by level and inserted from the highest level
+  //     down, stopping at the first level l at which the sample exceeds
+  //     capacity, and one filter raises straight to l + 1.
+  // Labels below the final level are never inserted, and a batch that
+  // raises by k levels pays one eviction pass instead of k.
   void add_batch(std::span<const std::uint64_t> labels)
+    requires(!kHasValue)
+  {
+    BatchScratch scratch;
+    add_batch(labels, scratch);
+  }
+
+  void add_batch(std::span<const std::uint64_t> labels, BatchScratch& scratch)
     requires(!kHasValue)
   {
     // Counter only, no span: one relaxed fetch_add amortized over the
     // whole batch keeps this path inside the <2% overhead gate.
     USTREAM_COUNTER_ADD("ustream_ingest_batch_items_total", labels.size());
     items_processed_ += labels.size();
+
+    const std::size_t expected = level_ >= 64 ? 0 : labels.size() >> level_;
+    bool set_aside = map_.size() + expected > capacity_;
+    scratch.labels.clear();
+    scratch.levels.clear();
+    HeldTrial trial{!map_.empty()};
     std::uint64_t h[kBatchBlock];
     for (std::size_t i = 0; i < labels.size(); i += kBatchBlock) {
       const std::size_t n = std::min(kBatchBlock, labels.size() - i);
       std::uint64_t survivors = hash_block(hash_, labels.data() + i, h, n, reject_mask_);
-      while (survivors != 0) {
+      if (survivors == 0) continue;
+      set_aside = set_aside ||
+                  map_.size() + static_cast<std::size_t>(std::popcount(survivors)) > capacity_;
+      if (set_aside) {
+        set_aside_block(labels.data() + i, h, survivors, labels.size(), scratch, trial);
+        continue;
+      }
+      while (survivors != 0) {  // these cannot overflow the sample
         const auto j = static_cast<std::size_t>(std::countr_zero(survivors));
         survivors &= survivors - 1;
-        // A level raise earlier in this block leaves stale bits behind;
-        // add_survivor re-derives the exact level and drops them.
-        add_survivor(labels[i + j], V{}, h[j]);
+        map_.try_emplace(labels[i + j],
+                         Slot{V{}, static_cast<std::uint8_t>(hash_level(h[j], Hash::kBits))});
       }
     }
+    const std::vector<std::uint64_t>& rest = scratch.labels;
+    if (map_.size() + rest.size() <= capacity_) {  // no raise possible: order is moot
+      for (std::size_t k = 0; k < rest.size(); ++k) {
+        map_.try_emplace(rest[k], Slot{V{}, scratch.levels[k]});
+      }
+      return;
+    }
+    insert_top_down(rest, scratch.levels, scratch.sorted);
   }
 
   // Valued batch: labels[i] carries values[i]; spans must be equal length.
@@ -217,10 +275,7 @@ class CoordinatedSampler {
   void merge(const CoordinatedSampler& other) {
     USTREAM_REQUIRE(can_merge_with(other),
                     "merge requires samplers with identical seed and capacity");
-    if (other.level_ > level_) {
-      set_level(other.level_);
-      map_.filter([this](const Entry& e) { return e.value.level >= level_; });
-    }
+    if (other.level_ > level_) evict_below(other.level_);
     for (const auto& e : other.map_) {
       if (e.value.level < level_) continue;
       map_.try_emplace(e.key, e.value);
@@ -242,10 +297,7 @@ class CoordinatedSampler {
                       "merge requires samplers with identical seed and capacity");
       target = std::max(target, o->level_);
     }
-    if (target > level_) {
-      set_level(target);
-      map_.filter([this](const Entry& e) { return e.value.level >= level_; });
-    }
+    if (target > level_) evict_below(target);
     for (const CoordinatedSampler* o : others) {
       for (const auto& e : o->map_) {
         if (e.value.level < level_) continue;
@@ -291,27 +343,16 @@ class CoordinatedSampler {
     w.u64(seed_);
     w.varint(capacity_);
     w.u8(static_cast<std::uint8_t>(level_));
-    w.varint(map_.size());
-    // Sort labels so they delta-encode compactly.
-    std::vector<const Entry*> order;
-    order.reserve(map_.size());
-    for (const auto& e : map_) order.push_back(&e);
-    std::sort(order.begin(), order.end(),
-              [](const Entry* a, const Entry* b) { return a->key < b->key; });
-    std::uint64_t prev = 0;
-    for (const Entry* e : order) {
-      w.varint(e->key - prev);
-      prev = e->key;
-      w.u8(e->value.level);
-      detail::ValueCodec<V>::write(w, e->value.value);
-    }
+    write_entries(w, std::vector<Entry>(map_.begin(), map_.end()));
+  }
+
+  // Upper bound on the bytes serialize() writes, for presizing buffers.
+  std::size_t serialized_size_bound() const noexcept {
+    return kHeaderMaxBytes + map_.size() * kEntryMaxBytes;
   }
 
   std::vector<std::uint8_t> serialize() const {
-    // Worst case per entry: 10-byte label delta + 1-byte level + the
-    // codec's own bound (8 for double payloads — sized from ValueCodec so
-    // valued samplers don't under-reserve and reallocate mid-write).
-    ByteWriter w(16 + map_.size() * (11 + detail::ValueCodec<V>::kMaxBytes));
+    ByteWriter w(serialized_size_bound());
     serialize(w);
     return w.take();
   }
@@ -327,7 +368,16 @@ class CoordinatedSampler {
     if (level > Hash::kBits) throw SerializationError("sampler level out of range");
     const std::uint64_t count = r.varint();
     if (count > capacity) throw SerializationError("sampler overfull");
-    CoordinatedSampler s(static_cast<std::size_t>(capacity), seed);
+    // Every entry takes at least two bytes (label delta + level), so a
+    // count the buffer cannot back is refused before anything is sized,
+    // and the map is sized from the count — never from the capacity the
+    // sender declares (DESIGN.md §6.4). Room for twice the entries keeps
+    // the probe table as sparse as a fresh sampler's (presized for
+    // capacity + 1, which caps it), for the decode and the merges that
+    // usually follow.
+    if (count > r.remaining() / 2) throw SerializationError("truncated sampler");
+    CoordinatedSampler s(static_cast<std::size_t>(capacity), seed,
+                         static_cast<std::size_t>(std::min(capacity + 1, 2 * count)));
     s.set_level(level);
     std::uint64_t label = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -365,20 +415,11 @@ class CoordinatedSampler {
     w.u8(kDeltaWireVersion);
     w.u8(detail::ValueCodec<V>::kTag);
     w.u8(static_cast<std::uint8_t>(level_));
-    std::vector<const Entry*> added;
+    std::vector<Entry> added;
     for (const auto& e : map_) {
-      if (!base.map_.contains(e.key)) added.push_back(&e);
+      if (!base.map_.contains(e.key)) added.push_back(e);
     }
-    w.varint(added.size());
-    std::sort(added.begin(), added.end(),
-              [](const Entry* a, const Entry* b) { return a->key < b->key; });
-    std::uint64_t prev = 0;
-    for (const Entry* e : added) {
-      w.varint(e->key - prev);
-      prev = e->key;
-      w.u8(e->value.level);
-      detail::ValueCodec<V>::write(w, e->value.value);
-    }
+    write_entries(w, std::move(added));
   }
 
   // Applies a delta produced by serialize_delta against a mirror of this
@@ -392,10 +433,7 @@ class CoordinatedSampler {
     const int new_level = r.u8();
     if (new_level < level_ || new_level > Hash::kBits)
       throw SerializationError("sampler delta level out of range");
-    if (new_level > level_) {
-      set_level(new_level);
-      map_.filter([this](const Entry& e) { return e.value.level >= level_; });
-    }
+    if (new_level > level_) evict_below(new_level);
     const std::uint64_t count = r.varint();
     if (count > capacity_) throw SerializationError("sampler delta overfull");
     std::uint64_t label = 0;
@@ -419,6 +457,122 @@ class CoordinatedSampler {
   // Hash-block size for add_batch: exactly one survivor-bitmask word, and
   // small enough that the hash buffer stays in L1.
   static constexpr std::size_t kBatchBlock = 64;
+  // Set-aside survivors probed for "already held" before add_batch decides
+  // whether probing the rest is worth it.
+  static constexpr std::size_t kHeldTrial = 32;
+  // Entry levels run 0..Hash::kBits.
+  static constexpr std::size_t kLevels = static_cast<std::size_t>(Hash::kBits) + 1;
+
+  // version + tag + seed + capacity varint + level + count varint.
+  static constexpr std::size_t kHeaderMaxBytes = 1 + 1 + 8 + 10 + 1 + 10;
+  // label-delta varint + level + value.
+  static constexpr std::size_t kEntryMaxBytes = 10 + 1 + detail::ValueCodec<V>::kMaxBytes;
+
+  // Deserialization: room for `entries` in the map, but no presized floor,
+  // so a decoded sampler's table shrinks with its sample like any map's.
+  CoordinatedSampler(std::size_t capacity, std::uint64_t seed, std::size_t entries)
+      : hash_(seed), seed_(seed), capacity_(capacity) {
+    map_.reserve(entries);
+  }
+
+  // The entry block of both wire formats: count, then the entries in label
+  // order (so labels delta-encode compactly), each as label delta, level,
+  // value — written through one presized raw buffer.
+  static void write_entries(ByteWriter& w, std::vector<Entry> entries) {
+    w.varint(entries.size());
+    std::vector<Entry> scratch;
+    radix_sort_by_key(entries, scratch, [](const Entry& e) { return e.key; });
+    std::uint8_t* p = w.begin_raw(entries.size() * kEntryMaxBytes);
+    std::uint64_t prev = 0;
+    for (const Entry& e : entries) {
+      p = put_varint(p, e.key - prev);
+      prev = e.key;
+      *p++ = e.value.level;
+      p = detail::ValueCodec<V>::put(p, e.value.value);
+    }
+    w.end_raw(p);
+  }
+
+  // Whether set-aside survivors are worth probing for "already held":
+  // decided by the first kHeldTrial probes of a batch.
+  struct HeldTrial {
+    bool on;
+    std::size_t probes = 0;
+    std::size_t hits = 0;
+  };
+
+  // Sets aside one hash block's survivors (bit j of `survivors` marks
+  // labels[j], whose hash is h[j]) for the top-down path. A label already
+  // held is a no-op in any order, so it need not wait; probing for it pays
+  // only on a stream of repeats, so probing continues past the trial only
+  // if most of the trial's probes hit.
+  void set_aside_block(const std::uint64_t* labels, const std::uint64_t* h,
+                       std::uint64_t survivors, std::size_t batch_size,
+                       BatchScratch& scratch, HeldTrial& trial) {
+    if (scratch.labels.empty()) {  // room for the whole batch, once
+      scratch.labels.reserve(batch_size);
+      scratch.levels.reserve(batch_size);
+    }
+    while (survivors != 0) {
+      const auto j = static_cast<std::size_t>(std::countr_zero(survivors));
+      survivors &= survivors - 1;
+      if (trial.on) {
+        const bool held = map_.contains(labels[j]);
+        trial.hits += held ? 1 : 0;
+        if (++trial.probes == kHeldTrial) trial.on = 2 * trial.hits >= trial.probes;
+        if (held) continue;
+      }
+      scratch.labels.push_back(labels[j]);
+      scratch.levels.push_back(static_cast<std::uint8_t>(hash_level(h[j], Hash::kBits)));
+    }
+  }
+
+  // add_batch's overflow path: `rest` (with their levels) are the set-aside
+  // survivors, too many to insert without a raise. Inserts them highest
+  // level first and raises to one above the first level l at which the
+  // sample, counted at levels >= l, exceeds capacity — the level a
+  // per-label add() of the same labels ends at.
+  void insert_top_down(std::span<const std::uint64_t> rest,
+                       std::span<const std::uint8_t> rest_levels,
+                       std::vector<std::uint64_t>& sorted) {
+    // Counting sort by level; level l's labels land in [start[l+1], start[l]).
+    std::array<std::uint32_t, kLevels + 1> start{};
+    for (const std::uint8_t l : rest_levels) ++start[l];
+    std::uint32_t offset = 0;
+    for (std::size_t l = kLevels; l-- > 0;) {
+      const std::uint32_t here = start[l];
+      start[l + 1] = offset;
+      offset += here;
+    }
+    start[0] = offset;
+    sorted.resize(rest.size());
+    std::array<std::uint32_t, kLevels + 1> next = start;
+    for (std::size_t k = 0; k < rest.size(); ++k) sorted[next[rest_levels[k] + 1u]++] = rest[k];
+
+    std::array<std::uint32_t, kLevels> held{};
+    for (const auto& e : map_) ++held[e.value.level];
+    const std::size_t held_total = map_.size();
+    std::size_t held_at_or_above = 0;
+    for (int l = Hash::kBits; l >= level_; --l) {
+      const auto li = static_cast<std::size_t>(l);
+      held_at_or_above += held[li];
+      // Distinct labels at level >= l: held ones plus those inserted here.
+      std::size_t count = map_.size() - held_total + held_at_or_above;
+      // The top level has nowhere to raise to (raise_level's safety
+      // valve), so it is always inserted whole.
+      const bool can_raise = l < Hash::kBits;
+      bool over = count > capacity_;
+      for (std::size_t k = start[li + 1]; k < start[li] && !(over && can_raise); ++k) {
+        if (map_.try_emplace(sorted[k], Slot{V{}, static_cast<std::uint8_t>(l)}).second) {
+          over = ++count > capacity_;
+        }
+      }
+      if (over && can_raise) {
+        raise_to(l + 1);
+        return;
+      }
+    }
+  }
 
   // Survivor of the threshold test: compute the exact level and insert.
   // Re-checks the level against level_ because a batch caller may hold a
@@ -440,20 +594,32 @@ class CoordinatedSampler {
                                : (std::uint64_t{1} << level) - 1;
   }
 
+  // Adopts a higher level and drops the entries below it.
+  void evict_below(int level) {
+    set_level(level);
+    map_.filter([this](const Entry& e) { return e.value.level >= level_; });
+  }
+
+  // Raises a level at a time until the sample fits its capacity. Per-item
+  // adds and pairwise merges almost always need a single level; a batch
+  // that may need several computes its final level and calls raise_to.
   void raise_level() {
+    // Safety valve: if the hash has fewer usable bits than needed the
+    // level is capped; with 61 bits this cannot trigger before ~2e18
+    // distinct labels.
+    while (map_.size() > capacity_ && level_ < Hash::kBits) raise_to(level_ + 1);
+  }
+
+  // A capacity raise from level_ to `level`, counted as one raise per
+  // level skipped, exactly as if the levels had been raised one by one.
+  void raise_to(int level) {
     // A raise is O(|S|) and happens only ~log(F0) times per stream, so a
     // span's two clock reads are noise here.
     USTREAM_TRACE_SPAN("ustream_sampler_level_raise_ns");
-    while (map_.size() > capacity_) {
-      USTREAM_COUNTER_ADD("ustream_sampler_level_raises_total", 1);
-      set_level(level_ + 1);
-      ++level_raises_;
-      map_.filter([this](const Entry& e) { return e.value.level >= level_; });
-      // Safety valve: if the hash has fewer usable bits than needed the
-      // level is capped; with 61 bits this cannot trigger before ~2e18
-      // distinct labels.
-      if (level_ >= Hash::kBits) break;
-    }
+    const auto levels = static_cast<std::uint64_t>(level - level_);
+    USTREAM_COUNTER_ADD("ustream_sampler_level_raises_total", levels);
+    level_raises_ += levels;
+    evict_below(level);
   }
 
   Hash hash_;

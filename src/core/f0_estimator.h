@@ -53,12 +53,14 @@ class BasicF0Estimator {
   // Batched ingestion, bit-identical to per-item add(). Copies are the
   // OUTER loop: each copy streams the whole block with its own hash
   // constants held in registers, instead of reloading every copy's state
-  // per item as the scalar path does.
+  // per item as the scalar path does. The copies take turns with one set
+  // of batch buffers, allocated once per call.
   void add_batch(std::span<const std::uint64_t> labels) {
     // Span here, not in the per-copy sampler: the batch work is multiplied
     // by `copies`, which amortizes the span's two clock reads.
     USTREAM_TRACE_SPAN("ustream_ingest_batch_ns");
-    for (auto& c : copies_) c.add_batch(labels);
+    typename Sampler::BatchScratch scratch;
+    for (auto& c : copies_) c.add_batch(labels, scratch);
   }
 
   // Median-of-copies estimate of F0.
@@ -154,7 +156,9 @@ class BasicF0Estimator {
   }
 
   std::vector<std::uint8_t> serialize() const {
-    ByteWriter w;
+    std::size_t bound = 1 + 8 + 10 + 10;  // version, seed, capacity, copies
+    for (const auto& c : copies_) bound += c.serialized_size_bound();
+    ByteWriter w(bound);
     serialize(w);
     return w.take();
   }
@@ -166,14 +170,15 @@ class BasicF0Estimator {
     p.capacity = r.varint();
     p.copies = r.varint();
     if (p.copies == 0 || p.copies > 4096) throw SerializationError("bad copy count");
-    BasicF0Estimator est(p);
-    est.copies_.clear();
+    // Copies are decoded, never constructed at the declared capacity: what
+    // gets allocated is bounded by the bytes present (DESIGN.md §6.4).
+    std::vector<Sampler> copies;
     for (std::size_t i = 0; i < p.copies; ++i) {
-      est.copies_.push_back(Sampler::deserialize(r));
-      if (est.copies_.back().capacity() != p.capacity)
+      copies.push_back(Sampler::deserialize(r));
+      if (copies.back().capacity() != p.capacity)
         throw SerializationError("copy capacity mismatch");
     }
-    return est;
+    return BasicF0Estimator(p, std::move(copies));
   }
 
   static BasicF0Estimator deserialize(std::span<const std::uint8_t> bytes) {
@@ -221,6 +226,9 @@ class BasicF0Estimator {
  private:
   static constexpr std::uint8_t kWireVersion = 1;
   static constexpr std::uint8_t kDeltaWireVersion = 1;
+
+  BasicF0Estimator(const EstimatorParams& params, std::vector<Sampler>&& copies)
+      : params_(params), copies_(std::move(copies)) {}
 
   EstimatorParams params_;
   std::vector<Sampler> copies_;

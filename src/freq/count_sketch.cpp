@@ -112,6 +112,11 @@ CountSketch CountSketch::deserialize(ByteReader& r) {
       depth * (width_log2 + 1) > static_cast<std::size_t>(PairwiseHash::kBits)) {
     throw SerializationError("count-sketch shape out of range");
   }
+  // The item count and every counter take at least one byte each: refuse a
+  // short buffer before allocating the declared shape (DESIGN.md §6.4).
+  if (r.remaining() < (depth << width_log2) + 1) {
+    throw SerializationError("truncated count-sketch");
+  }
   CountSketch s(depth, width_log2, seed);
   s.items_ = r.varint();
   for (std::size_t i = 0; i < s.counters_.size(); ++i) s.counters_[i] = r.svarint();

@@ -15,6 +15,13 @@ SpaceSaver::SpaceSaver(std::size_t capacity)
   pos_.reserve(capacity);
 }
 
+SpaceSaver::SpaceSaver(std::size_t capacity, std::size_t entries)
+    : capacity_(capacity), index_(entries + 1) {
+  slots_.reserve(entries);
+  heap_.reserve(entries);
+  pos_.reserve(entries);
+}
+
 void SpaceSaver::heap_swap(std::size_t i, std::size_t j) noexcept {
   std::swap(heap_[i], heap_[j]);
   pos_[heap_[i]] = static_cast<std::uint32_t>(i);
@@ -227,12 +234,11 @@ SpaceSaver SpaceSaver::deserialize(ByteReader& r) {
   const std::uint64_t count = r.varint();
   // A merged union summary legitimately exceeds its per-site capacity, but
   // every entry costs at least 3 encoded bytes — bound the allocation by
-  // what the buffer can actually carry.
+  // what the buffer can actually carry (DESIGN.md §6.4).
   if (count > r.remaining() / 3 + 1) throw SerializationError("space-saver overfull");
-  SpaceSaver s(static_cast<std::size_t>(capacity));
+  SpaceSaver s(static_cast<std::size_t>(capacity), static_cast<std::size_t>(count));
   s.absent_bound_ = absent_bound;
   s.total_ = total;
-  s.slots_.reserve(static_cast<std::size_t>(count));
   std::uint64_t label = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t delta = r.varint();

@@ -85,6 +85,10 @@ class SpaceSaver {
  private:
   static constexpr std::uint8_t kWireVersion = 1;
 
+  // Decoding: storage sized for the `entries` on the wire, never for the
+  // capacity the sender declares.
+  SpaceSaver(std::size_t capacity, std::size_t entries);
+
   // Eviction order: smallest (count, label) first.
   bool heap_less(std::uint32_t a, std::uint32_t b) const noexcept {
     const Entry& ea = slots_[a];

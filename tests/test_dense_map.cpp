@@ -125,6 +125,42 @@ TEST(DenseMap, ResetKeepsTableSizeAndMatchesAFreshMap) {
   }
 }
 
+// A bulk filter re-indexes into a table no smaller than the one the
+// constructor presized: a sampler at capacity that evicts half its entries
+// and refills must not shrink and regrow its table on every level raise.
+// A map that grew past its presize shrinks back to fit, but not below it.
+TEST(DenseMap, FilterNeverShrinksBelowThePresizedTable) {
+  DenseMap<std::uint8_t> m(3601);
+  const std::size_t presized = m.table_size();
+  Xoshiro256 rng(3);
+  for (int round = 0; round < 4; ++round) {
+    while (m.size() < 3601) m.try_emplace(rng.next(), static_cast<std::uint8_t>(round));
+    m.filter([](const auto& e) { return e.key % 2 == 0; });
+    EXPECT_EQ(m.table_size(), presized) << "round " << round;
+  }
+  while (m.size() < 20'000) m.try_emplace(rng.next(), 0);
+  EXPECT_GT(m.table_size(), presized);
+  m.filter([](const auto& e) { return e.key % 16 == 0; });
+  EXPECT_EQ(m.table_size(), presized);
+  for (const auto& e : m) EXPECT_EQ(m.find(e.key), &e);
+
+  // Growth and reserve() set no floor: a filter shrinks those to fit.
+  DenseMap<std::uint8_t> unsized;
+  for (int i = 0; i < 5'000; ++i) unsized.try_emplace(rng.next(), 0);
+  const std::size_t grown = unsized.table_size();
+  unsized.filter([](const auto& e) { return e.key % 64 == 0; });
+  EXPECT_LT(unsized.table_size(), grown);
+
+  DenseMap<std::uint8_t> reserved;
+  reserved.reserve(3601);
+  EXPECT_EQ(reserved.table_size(), presized);
+  while (reserved.size() < 3601) reserved.try_emplace(rng.next(), 0);
+  EXPECT_EQ(reserved.table_size(), presized);  // no regrow on the way
+  reserved.filter([](const auto& e) { return e.key % 64 == 0; });
+  EXPECT_LT(reserved.table_size(), presized);
+  for (const auto& e : reserved) EXPECT_EQ(reserved.find(e.key), &e);
+}
+
 TEST(DenseMap, BytesUsedGrows) {
   DenseMap<int> small;
   DenseMap<int> big;

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/random.h"
+#include "common/serialize.h"
 #include "common/stats.h"
 #include "hash/hash_family.h"
 #include "stream/generators.h"
@@ -137,6 +140,65 @@ TEST(F0Estimator, AlternativeHashInstantiations) {
   }
   EXPECT_LT(relative_error(tab.estimate(), 100'000.0), 0.10);
   EXPECT_LT(relative_error(mm.estimate(), 100'000.0), 0.10);
+}
+
+// Decoders size what they allocate from the bytes a buffer carries, never
+// from the capacity it declares (DESIGN.md §6): a 16-byte header claiming
+// capacity 2^40 must be refused as truncated, not answered with an
+// allocation sized for 2^40 entries.
+TEST(F0Estimator, DeserializeAllocatesFromBytesPresentNotDeclaredCapacity) {
+  using Sampler = F0Estimator::Sampler;
+  for (const int shift : {26, 40, 62}) {
+    const std::uint64_t capacity = std::uint64_t{1} << shift;
+    const auto sampler_header = [&](ByteWriter& w, std::uint64_t count) {
+      w.u8(1);  // sampler wire version
+      w.u8(0);  // Unit values
+      w.u64(7);
+      w.varint(capacity);
+      w.u8(0);  // level
+      w.varint(count);
+    };
+
+    // The estimator header alone: its one promised copy never follows.
+    ByteWriter header;
+    header.u8(1);  // estimator wire version
+    header.u64(42);
+    header.varint(capacity);
+    header.varint(1);
+    EXPECT_THROW(F0Estimator::deserialize(header.data()), SerializationError) << shift;
+
+    // A sampler declaring capacity-many entries with no entry bytes.
+    ByteWriter lying;
+    sampler_header(lying, capacity);
+    EXPECT_THROW(Sampler::deserialize(lying.data()), SerializationError) << shift;
+
+    // Complete and well-formed, just empty: decodes, and stays small.
+    ByteWriter empty;
+    empty.u8(1);
+    empty.u64(42);
+    empty.varint(capacity);
+    empty.varint(3);
+    for (int c = 0; c < 3; ++c) sampler_header(empty, 0);
+    const F0Estimator est = F0Estimator::deserialize(empty.data());
+    EXPECT_EQ(est.num_copies(), 3u);
+    EXPECT_EQ(est.copy(0).capacity(), capacity);
+    EXPECT_EQ(est.estimate(), 0.0);
+    EXPECT_LT(est.bytes_used(), 4096u) << shift;
+  }
+}
+
+// The deserialized sampler's map is sized for the entries it holds; it must
+// still take inserts, merges and level raises up to its real capacity.
+TEST(F0Estimator, DeserializedSketchKeepsGrowing) {
+  F0Estimator small(0.1, 0.05, 9);
+  for (std::uint64_t i = 0; i < 200; ++i) small.add(SplitMix64::mix(i));
+  F0Estimator restored = F0Estimator::deserialize(small.serialize());
+  F0Estimator direct = small;
+  std::vector<std::uint64_t> more(100'000);
+  for (std::size_t i = 0; i < more.size(); ++i) more[i] = SplitMix64::mix(1'000'000 + i);
+  restored.add_batch(more);
+  direct.add_batch(more);
+  EXPECT_EQ(restored.serialize(), direct.serialize());
 }
 
 }  // namespace

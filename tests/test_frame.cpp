@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/crc32c.h"
 #include "common/error.h"
@@ -24,6 +26,50 @@ TEST(Crc32c, KnownAnswerVectors) {
   EXPECT_EQ(crc32c(bytes_of("123456789")), 0xE3069283u);
   EXPECT_EQ(crc32c(std::vector<std::uint8_t>(32, 0x00)), 0x8A9136AAu);
   EXPECT_EQ(crc32c(std::vector<std::uint8_t>(32, 0xFF)), 0x62A8AB43u);
+}
+
+// Both paths — the dispatched one (the crc32 instruction on SSE4.2 hosts)
+// and the portable table path — on the RFC 3720 appendix B.4 vectors.
+TEST(Crc32c, Rfc3720VectorsOnBothPaths) {
+  std::vector<std::uint8_t> ascending(32), descending(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<std::uint8_t>(i);
+    descending[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  // An iSCSI SCSI Read (10) command PDU.
+  const std::vector<std::uint8_t> read_pdu = {
+      0x01, 0xc0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
+      0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x18, 0x28, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  const std::vector<std::pair<std::vector<std::uint8_t>, std::uint32_t>> vectors = {
+      {std::vector<std::uint8_t>(32, 0x00), 0x8A9136AAu},
+      {std::vector<std::uint8_t>(32, 0xFF), 0x62A8AB43u},
+      {ascending, 0x46DD794Eu},
+      {descending, 0x113FDB5Cu},
+      {read_pdu, 0xD9963A56u},
+      {bytes_of("123456789"), 0xE3069283u},
+  };
+  for (const auto& [data, want] : vectors) {
+    EXPECT_EQ(crc32c(data), want);
+    EXPECT_EQ(crc32c_sw(data), want);
+  }
+}
+
+// The dispatched path equals the table path on random lengths 0..4096 at
+// every alignment, continuing from random running values.
+TEST(Crc32c, DispatchedPathMatchesTablePath) {
+  Xoshiro256 rng(21);
+  std::vector<std::uint8_t> buf(4096 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.below(256));
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t start = rng.below(8);
+    const std::size_t len = trial < 64 ? static_cast<std::size_t>(trial) : rng.below(4097);
+    const auto seed = static_cast<std::uint32_t>(trial % 3 == 0 ? 0 : rng.next());
+    const std::span<const std::uint8_t> data(buf.data() + start, len);
+    ASSERT_EQ(crc32c(data, seed), crc32c_sw(data, seed))
+        << "start " << start << " len " << len << " seed " << seed;
+  }
 }
 
 TEST(Crc32c, ChainingComposes) {

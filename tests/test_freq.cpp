@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/serialize.h"
 #include "freq/count_sketch.h"
 #include "freq/freq_sketch.h"
 #include "freq/space_saver.h"
@@ -251,6 +252,54 @@ TEST(SpaceSaver, RoundTripPreservesBytes) {
   // The restored heap still evicts correctly: keep ingesting.
   for (int i = 0; i < 1'000; ++i) restored.add(0xdeadULL + static_cast<unsigned>(i));
   EXPECT_LE(restored.size(), restored.capacity());
+}
+
+// Decoders size what they allocate from the bytes present (DESIGN.md §6):
+// a complete 10-byte space-saver declaring capacity 2^40 decodes to an
+// empty summary without reserving 2^40 slots.
+TEST(SpaceSaver, DeserializeAllocatesFromBytesPresentNotDeclaredCapacity) {
+  for (const int shift : {26, 40, 62}) {
+    const std::uint64_t capacity = std::uint64_t{1} << shift;
+    ByteWriter w;
+    w.u8(1);  // wire version
+    w.varint(capacity);
+    w.varint(0);  // absent bound
+    w.varint(0);  // total weight
+    w.varint(0);  // entries
+    const SpaceSaver ss = SpaceSaver::deserialize(w.data());
+    EXPECT_EQ(ss.capacity(), capacity);
+    EXPECT_EQ(ss.size(), 0u);
+    EXPECT_LT(ss.bytes_used(), 4096u) << shift;
+    EXPECT_FALSE(ss.can_merge_with(SpaceSaver(64)));
+  }
+}
+
+// The decoded summary's storage is sized for its entries; it still fills
+// to capacity and evicts like the original.
+TEST(SpaceSaver, DeserializedSummaryKeepsEvicting) {
+  SpaceSaver ss(40);
+  for (std::uint64_t label = 0; label < 10; ++label) ss.add(label, label + 1);
+  SpaceSaver restored = SpaceSaver::deserialize(ss.serialize());
+  Xoshiro256 rng(5);
+  for (int i = 0; i < 5'000; ++i) {
+    const std::uint64_t label = rng.below(400);
+    ss.add(label);
+    restored.add(label);
+  }
+  EXPECT_EQ(restored.serialize(), ss.serialize());
+}
+
+// A count-sketch header whose counters are not in the buffer is refused
+// before the declared shape (up to 8 x 2^20 counters) is allocated.
+TEST(CountSketch, DeserializeRefusesCountersTheBytesDoNotCarry) {
+  ByteWriter w;
+  w.u8(1);  // wire version
+  w.u64(42);
+  w.u8(8);   // depth
+  w.u8(20);  // log2 width
+  w.varint(0);
+  for (int i = 0; i < 100; ++i) w.svarint(0);
+  EXPECT_THROW(CountSketch::deserialize(w.data()), SerializationError);
 }
 
 // ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@
 #include "distributed/collect.h"
 #include "distributed/faulty_channel.h"
 #include "distributed/runtime.h"
+#include "common/serialize.h"
+#include "freq/count_sketch.h"
 #include "freq/freq_sketch.h"
 #include "net/socket.h"
 #include "net/tcp_transport.h"
@@ -1501,6 +1503,105 @@ TEST_F(NetCliTest, FreqServeMatchesFileMergeAtOneAndTwoShards) {
     }
     EXPECT_EQ(hitters, 200u) << line;
     EXPECT_EQ(slurp(net_sk), slurp(merged)) << shards << " shard(s)";
+  }
+}
+
+// Decoders allocate from the bytes a frame carries, never from the sizes
+// it declares (DESIGN.md §6). Each hostile frame below is CRC-valid and
+// claims site 1 of a real `serve`, with a sketch capacity of 2^26, 2^40
+// or 2^62 and nothing on the wire to back it: the F0 payload stops after
+// its 16-odd-byte header (the copy it promises is missing), the freq
+// payload is a complete sketch whose heavy-hitter half declares the huge
+// capacity and holds no entries. Each must get 'Q' — neither an
+// allocation failure that kills the referee nor a stall sizing tables
+// for the claim — and the referee must go on to collect the honest sites
+// into the same bytes as the file-mode merge.
+TEST_F(NetCliTest, HostileCapacityFramesAreRefusedAndCollectionCompletes) {
+  if (g_ustream_bin.empty()) GTEST_SKIP() << "ustream binary path not provided";
+
+  // Largest claim first: against a decoder that sizes from the claim it
+  // fails fast (length_error) instead of first touching gigabytes.
+  const std::uint64_t claims[] = {std::uint64_t{1} << 62, std::uint64_t{1} << 40,
+                                  std::uint64_t{1} << 26};
+  const auto f0_payload = [](std::uint64_t capacity) {
+    ByteWriter w;
+    w.u8(1);  // estimator wire version
+    w.u64(42);
+    w.varint(capacity);
+    w.varint(1);  // one copy, which never follows
+    return w.take();
+  };
+  const auto freq_payload = [](std::uint64_t capacity) {
+    ByteWriter w;
+    w.u8(1);  // freq-sketch wire version
+    CountSketch(1, 1, 42).serialize(w);
+    w.u8(1);  // space-saver wire version
+    w.varint(capacity);
+    w.varint(0);  // absent bound
+    w.varint(0);  // total weight
+    w.varint(0);  // no entries
+    return w.take();
+  };
+
+  for (const std::string kind : {"f0", "freq"}) {
+    SCOPED_TRACE(kind);
+    const PayloadKind payload_kind =
+        kind == "f0" ? PayloadKind::kF0Estimator : PayloadKind::kFreqSketch;
+    std::vector<std::string> sketches;
+    for (int i = 0; i < 2; ++i) {
+      const auto trace = path("hc_" + kind + std::to_string(i) + ".trace");
+      sketches.push_back(path("hc_" + kind + std::to_string(i) + ".sk"));
+      ASSERT_EQ(invoke({"generate", "--distinct", "5000", "--items", "20000", "--seed",
+                        std::to_string(71 + i), "--out", trace}).first, 0);
+      ASSERT_EQ(invoke({"sketch", "--kind", kind, "--in", trace, "--seed", "42", "--out",
+                        sketches.back()}).first, 0);
+    }
+    const auto merged = path("hc_" + kind + "_merged.sk");
+    ASSERT_EQ(invoke({"merge", "--out", merged, sketches[0], sketches[1]}).first, 0);
+
+    const auto net_sk = path("hc_" + kind + "_net.sk");
+    const auto port_file = path("hc_" + kind + "_port.txt");
+    const std::string serve_cmd = g_ustream_bin + " serve --kind " + kind +
+                                  " --port 0 --sites 2 --json --timeout-ms 30000 --out " +
+                                  net_sk + " --port-file " + port_file + " 2>&1";
+    std::FILE* serve = popen(serve_cmd.c_str(), "r");
+    ASSERT_NE(serve, nullptr);
+    const std::uint16_t port = wait_for_port(port_file);
+    ASSERT_NE(port, 0) << "serve never wrote its port file";
+    const auto push = [&](int site) {
+      return std::system((g_ustream_bin + " push --to 127.0.0.1:" + std::to_string(port) +
+                          " --site " + std::to_string(site) + " " + sketches[site] +
+                          " > /dev/null 2>&1").c_str());
+    };
+
+    // An honest site first, so a well-formed hostile sketch meets one it
+    // cannot merge with; then the hostile frames for the other site.
+    ASSERT_EQ(push(0), 0);
+    TcpTransportConfig tconfig = client_config(port);
+    tconfig.max_send_attempts = 1;  // surface 'Q' as an error instead of retrying
+    for (const std::uint64_t capacity : claims) {
+      const auto payload = kind == "f0" ? f0_payload(capacity) : freq_payload(capacity);
+      TcpTransport transport(2, tconfig);
+      std::string verdict = "accepted";
+      try {
+        transport.send_with_ack(1, frame_encode({payload_kind, 1, 0}, payload));
+      } catch (const net::TransportError& e) {
+        verdict = e.what();
+      }
+      EXPECT_NE(verdict.find("quarantined"), std::string::npos)
+          << "capacity " << capacity << ": " << verdict;
+    }
+    ASSERT_EQ(push(1), 0);
+
+    std::string serve_out;
+    char buf[512];
+    while (std::fgets(buf, sizeof(buf), serve)) serve_out += buf;
+    const int status = pclose(serve);
+    ASSERT_TRUE(WIFEXITED(status)) << serve_out;
+    EXPECT_EQ(WEXITSTATUS(status), 0) << serve_out;
+    EXPECT_NE(serve_out.find("\"sites_reported\":2"), std::string::npos) << serve_out;
+    EXPECT_NE(serve_out.find("\"frames_quarantined\":3"), std::string::npos) << serve_out;
+    EXPECT_EQ(slurp(net_sk), slurp(merged));
   }
 }
 
