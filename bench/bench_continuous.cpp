@@ -17,7 +17,7 @@
 // union cardinality is just the number of items fed), and after both
 // rows ran, delta mode must have spent <= 10% of snapshot mode's
 // bytes-on-wire AND messages. Any violation prints the offending numbers
-// and exits nonzero — bench/run_continuous_bench.sh treats this binary
+// and exits nonzero — `bench/run_gates.py continuous` treats this binary
 // as self-gating and layers the items/sec regression check on top.
 #include <benchmark/benchmark.h>
 

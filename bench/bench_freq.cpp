@@ -2,7 +2,7 @@
 // coordinated-sampler path on the SAME Zipf workload, and heavy-hitter
 // recall over the union of 64 sites at heavy skew.
 //
-// Rows gated by bench/run_freq_bench.sh against bench/BENCH_freq.json:
+// Rows gated by `bench/run_gates.py freq` against bench/BENCH_freq.json:
 //   * BM_FreqIngestBatch vs BM_SamplerHeavyKeyObserve — the freq bundle
 //     (count-sketch + space-saver) must stay within 2x (>= 0.5x floor) of
 //     the sampler path this subsystem replaces for heavy-key tracking:

@@ -4,7 +4,7 @@
 //
 // The BM_Merge*Sites / BM_MergeBottomK* / BM_ContinuousQuery* rows are the
 // merge-engine scaling grid (EXPERIMENTS.md E8, ISSUE-3's "E5" table) and
-// are gated against bench/BENCH_merge.json by bench/run_merge_bench.sh.
+// are gated against bench/BENCH_merge.json by `bench/run_gates.py merge`.
 #include <benchmark/benchmark.h>
 
 #include <utility>

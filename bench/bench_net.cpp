@@ -1,5 +1,5 @@
 // E9 — the wire: what the TCP referee costs over loopback. Three rows,
-// gated against bench/BENCH_net.json by bench/run_net_bench.sh:
+// gated against bench/BENCH_net.json by `bench/run_gates.py net`:
 //
 //   * BM_NetPushLatency/<payload>  — full push round trip (frame + length
 //     prefix out, 1-byte ack back) on a PERSISTENT connection; items ==
@@ -129,7 +129,7 @@ BENCHMARK(BM_NetPushReconnect)->Arg(1024)->Unit(benchmark::kMicrosecond);
 // workload is identical across rows — only the number of worker event
 // loops behind the SO_REUSEPORT group changes — so the 1-shard row is the
 // sequential-referee capacity and the ratio to the 4-shard row is the
-// multi-core collection-plane speedup bench/run_net_bench.sh gates on
+// multi-core collection-plane speedup `bench/run_gates.py net` gates on
 // (machines with >= 4 cores only; a 1-core box cannot scale by fiat).
 // UseRealTime: with threads, cpu-time-based rates sum the pusher threads'
 // time and would hide the scaling this row exists to show.

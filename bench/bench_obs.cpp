@@ -2,9 +2,9 @@
 // (DESIGN.md §9.4): the SAME source is compiled twice — bench_obs with
 // metrics enabled, bench_obs_nometrics with -DUSTREAM_NO_METRICS — and
 // each row's name carries a /metrics or /nometrics suffix so the two JSON
-// outputs merge into one file. bench/run_obs_bench.sh then gates every
-// metrics row at >= 0.98x its nometrics twin via check_regression.py
-// --speedup pairs: enabled-but-idle instrumentation (counters ticking,
+// outputs merge into one file. `bench/run_gates.py obs` then gates every
+// metrics row at >= 0.98x its nometrics twin via the gate's speedup
+// pairs: enabled-but-idle instrumentation (counters ticking,
 // spans observing, nobody scraping) must cost < 2% on the Ingest* and
 // Merge* hot paths.
 //
@@ -71,7 +71,7 @@ ObsSampler saturated_sampler() {
 // Scalar add() carries no instrumentation at all — this row is the
 // informational control: any metrics/nometrics delta here is pure
 // benchmark noise (a ~2.4ns loop is frequency- and alignment-bound, and
-// swings ~10% run to run on a shared VM), which is why run_obs_bench.sh
+// swings ~10% run to run on a shared VM), which is why the obs gate
 // does NOT include it in the gated speedup pairs.
 void BM_ObsIngestScalar(benchmark::State& state) {
   auto sampler = saturated_sampler();

@@ -1,5 +1,5 @@
 // E19 — the query engine: what a set-expression answer costs. Rows gated
-// against bench/BENCH_query.json by bench/run_query_bench.sh:
+// against bench/BENCH_query.json by `bench/run_gates.py query`:
 //
 //   * BM_QueryParse/<ops> — tokenize + parse an <ops>-operand expression;
 //     items == expressions, so items_per_second is parses per second.

@@ -6,8 +6,8 @@
 //
 // The Ingest* pairs compare the scalar add() path against the batched
 // threshold-form add_batch() path across capacity and level regimes; they
-// are the rows bench/run_bench.sh records in BENCH_throughput.json and
-// bench/check_regression.py gates on (including the >= 2x batch-speedup
+// are the rows `bench/run_gates.py throughput` records in
+// BENCH_throughput.json and gates on (including the >= 2x batch-speedup
 // floor in the saturated regime).
 #include <benchmark/benchmark.h>
 

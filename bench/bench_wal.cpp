@@ -1,5 +1,5 @@
 // E17 — what durability costs. Two families, gated against
-// bench/BENCH_wal.json by bench/run_wal_bench.sh:
+// bench/BENCH_wal.json by `bench/run_gates.py wal`:
 //
 //   * BM_WalAppend/<policy>/<payload> — the raw group-commit path:
 //     append one framed record + commit (write() to the kernel, fsync per
