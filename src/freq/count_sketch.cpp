@@ -40,13 +40,27 @@ void CountSketch::update(std::uint64_t label, std::int64_t delta) {
 
 void CountSketch::add_batch(std::span<const std::uint64_t> labels) {
   USTREAM_COUNTER_ADD("ustream_freq_batch_items_total", labels.size());
-  items_ += labels.size();
+  apply_batch(labels, nullptr);
+}
+
+void CountSketch::add_weighted(std::span<const std::uint64_t> labels,
+                               std::span<const std::uint64_t> weights) {
+  USTREAM_REQUIRE(labels.size() == weights.size(), "one weight per label");
+  apply_batch(labels, weights.data());
+}
+
+void CountSketch::apply_batch(std::span<const std::uint64_t> labels,
+                              const std::uint64_t* weights) {
   std::uint64_t h[kBatchBlock];
   for (std::size_t i = 0; i < labels.size(); i += kBatchBlock) {
     const std::size_t n = std::min(kBatchBlock, labels.size() - i);
     // reject_mask 0: every label survives; we only want the hashes.
     hash_block(hash_, labels.data() + i, h, n, /*reject_mask=*/0);
-    for (std::size_t j = 0; j < n; ++j) apply(h[j], 1);
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::uint64_t w = weights != nullptr ? weights[i + j] : 1;
+      items_ += w;
+      apply(h[j], static_cast<std::int64_t>(w));
+    }
   }
 }
 

@@ -46,6 +46,11 @@ class CountSketch {
   // PairwiseHash).
   void add_batch(std::span<const std::uint64_t> labels);
 
+  // Weighted batch: labels[i] counts weights[i] times. Counters are integer
+  // sums, so this is bit-identical to that many add() calls per label.
+  void add_weighted(std::span<const std::uint64_t> labels,
+                    std::span<const std::uint64_t> weights);
+
   // Median-of-rows point estimate of the label's signed frequency.
   std::int64_t estimate(std::uint64_t label) const;
 
@@ -79,6 +84,8 @@ class CountSketch {
 
   // Applies delta to every row for a label whose shared hash is h.
   void apply(std::uint64_t h, std::int64_t delta) noexcept;
+  // The one batch path: unit weights when `weights` is null.
+  void apply_batch(std::span<const std::uint64_t> labels, const std::uint64_t* weights);
 
   PairwiseHash hash_;
   std::uint64_t seed_;

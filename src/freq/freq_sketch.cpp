@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/metrics.h"
+
 namespace ustream {
 
 FreqSketch::FreqSketch(const FreqConfig& config)
@@ -19,8 +21,17 @@ void FreqSketch::add(std::uint64_t label) {
 }
 
 void FreqSketch::add_batch(std::span<const std::uint64_t> labels) {
-  sketch_.add_batch(labels);  // SIMD hash_block path
-  for (const std::uint64_t label : labels) heavy_.add(label);
+  USTREAM_COUNTER_ADD("ustream_freq_batch_items_total", labels.size());
+  ingest_batch(labels);
+}
+
+void FreqSketch::ingest_batch(std::span<const std::uint64_t> labels) {
+  // The space-saver collapses hits into per-label weights, so the
+  // count-sketch hashes and writes each label once per miss or settle
+  // instead of once per occurrence.
+  thread_local SpaceSaver::WeightedLabels weighted;
+  heavy_.add_batch(labels, weighted);
+  sketch_.add_weighted(weighted.labels, weighted.weights);
 }
 
 std::uint64_t FreqSketch::estimate(std::uint64_t label) const {

@@ -78,7 +78,12 @@ class FreqSketch {
  private:
   static constexpr std::uint8_t kWireVersion = 1;
 
+  friend class UniversalSketch;  // counts its own batch items
+
   FreqSketch(const FreqConfig& config, CountSketch&& sketch, SpaceSaver&& heavy);
+
+  // add_batch without the batch-items metric.
+  void ingest_batch(std::span<const std::uint64_t> labels);
 
   FreqConfig config_;
   CountSketch sketch_;

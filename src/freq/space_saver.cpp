@@ -99,6 +99,13 @@ void SpaceSaver::add(std::uint64_t label, std::uint64_t weight) {
     sift_down(pos_[static_cast<std::size_t>(hit - slots_.data())]);
     return;
   }
+  if (slots_.size() >= capacity_) {
+    USTREAM_COUNTER_ADD("ustream_freq_heavy_evictions_total", 1);
+  }
+  admit(label, weight);
+}
+
+void SpaceSaver::admit(std::uint64_t label, std::uint64_t weight) {
   if (slots_.size() < capacity_) {
     const auto slot = static_cast<std::uint32_t>(slots_.size());
     slots_.push_back(Entry{label, absent_bound_ + weight, absent_bound_});
@@ -113,7 +120,6 @@ void SpaceSaver::add(std::uint64_t label, std::uint64_t weight) {
   // raising the absent bound to its count. When the candidate IS the
   // minimum this degenerates to bumping the bound; otherwise the heap root
   // is evicted and its slot reused in place.
-  USTREAM_COUNTER_ADD("ustream_freq_heavy_evictions_total", 1);
   const std::uint32_t root = heap_[0];
   const Entry& min_entry = slots_[root];
   const std::uint64_t candidate_count = absent_bound_ + weight;
@@ -130,6 +136,47 @@ void SpaceSaver::add(std::uint64_t label, std::uint64_t weight) {
   sift_down(pos_[root]);
   index_put(label, root);
   maybe_compact_index();
+}
+
+void SpaceSaver::settle(std::uint32_t slot, WeightedLabels& out) {
+  slots_[slot].count += pending_[slot];
+  out.labels.push_back(slots_[slot].label);
+  out.weights.push_back(pending_[slot]);
+  pending_[slot] = 0;
+  sift_down(pos_[slot]);
+}
+
+void SpaceSaver::add_batch(std::span<const std::uint64_t> labels, WeightedLabels& out) {
+  out.labels.clear();
+  out.weights.clear();
+  // Each output row is a miss or settles at least one hit: no regrowth.
+  out.labels.reserve(labels.size());
+  out.weights.reserve(labels.size());
+  pending_.resize(slots_.size());
+  total_ += labels.size();
+  std::uint64_t evictions = 0;
+  for (const std::uint64_t label : labels) {
+    if (const Entry* hit = find_slot(label)) {
+      ++pending_[static_cast<std::size_t>(hit - slots_.data())];
+      continue;
+    }
+    out.labels.push_back(label);
+    out.weights.push_back(1);
+    if (slots_.size() >= capacity_) {
+      ++evictions;
+      // Settle until the root's stored count is its true count: only then
+      // is it the minimum the scalar path would compare against.
+      while (pending_[heap_[0]] != 0) settle(heap_[0], out);
+    }
+    admit(label, 1);
+    // Sized by the slots in use, never by the declared capacity: a decoded
+    // summary may declare far more than it will ever hold.
+    pending_.resize(slots_.size());
+  }
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (pending_[slot] != 0) settle(slot, out);
+  }
+  USTREAM_COUNTER_ADD("ustream_freq_heavy_evictions_total", evictions);
 }
 
 SpaceSaver::Bound SpaceSaver::estimate(std::uint64_t label) const noexcept {
@@ -165,7 +212,7 @@ std::vector<SpaceSaver::Entry> SpaceSaver::guaranteed_at_least(
 std::size_t SpaceSaver::bytes_used() const noexcept {
   return sizeof(*this) + slots_.capacity() * sizeof(Entry) +
          (heap_.capacity() + pos_.capacity()) * sizeof(std::uint32_t) +
-         index_.bytes_used();
+         pending_.capacity() * sizeof(std::uint64_t) + index_.bytes_used();
 }
 
 void SpaceSaver::merge(const SpaceSaver& other) {

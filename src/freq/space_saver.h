@@ -12,9 +12,20 @@
 // counter; a miss inserts {m + w, m}; when that overflows capacity, the
 // minimum entry (by (count, label) — the tie-break is part of the wire
 // contract) is evicted and m rises to its count. The min lives at the root
-// of an indexed binary heap, so a hit costs one map probe plus an O(log
-// capacity) sift and an eviction is O(log capacity) — no linear scans on
-// the ingest path.
+// of an indexed binary heap, so an eviction is O(log capacity) — no linear
+// scans on the ingest path. A scalar hit costs one map probe plus an
+// O(log capacity) sift; a batched hit costs the probe alone.
+//
+// add_batch keeps hits as per-slot pending weights and settles them into
+// the heap only when an eviction needs the true minimum, yet reaches the
+// exact state of per-label add() calls:
+//   * a stored count never exceeds the true one (pending weight only adds),
+//     so a root with no pending weight is the true (count, label)-minimum —
+//     labels are unique, so the minimum is too;
+//   * an eviction depends only on that minimum, so every eviction, and
+//     with it every absent-bound raise, matches the scalar sequence;
+//   * the heap's shape differs, but serialization is label-sorted and every
+//     query sorts, so the shape never reaches the wire or a report.
 //
 // Merge does NOT truncate: the entry set is the union, each label's
 // interval is the sum of its per-summary intervals (an absent summary
@@ -49,6 +60,17 @@ class SpaceSaver {
   explicit SpaceSaver(std::size_t capacity);
 
   void add(std::uint64_t label, std::uint64_t weight = 1);
+
+  // The batch as weighted updates: labels[i] occurred weights[i] times.
+  struct WeightedLabels {
+    std::vector<std::uint64_t> labels;
+    std::vector<std::uint64_t> weights;
+  };
+  // Unit-weight batch, the same state as add(label) for each label in
+  // order. `out` is overwritten with the batch in weighted form, each label
+  // once per miss and once per settle of its pending weight, so a linear
+  // sketch beside this summary can ingest the batch with fewer updates.
+  void add_batch(std::span<const std::uint64_t> labels, WeightedLabels& out);
 
   // Frequency interval for one label: tracked labels report their entry,
   // untracked labels report [0, absent_bound].
@@ -100,7 +122,11 @@ class SpaceSaver {
   void sift_down(std::size_t heap_index) noexcept;
   void heap_swap(std::size_t i, std::size_t j) noexcept;
   void rebuild_heap();
-  void evict_min();
+  // Takes in an untracked label: a new entry while there is room, else the
+  // eviction of the (count, label)-minimum of the table plus the candidate.
+  void admit(std::uint64_t label, std::uint64_t weight);
+  // Moves a slot's pending weight into its count and reports it in `out`.
+  void settle(std::uint32_t slot, WeightedLabels& out);
   // Stale index entries (left behind by slot-reusing evictions) are
   // reclaimed in bulk once the index outgrows the live set 8:1.
   void maybe_compact_index();
@@ -117,6 +143,8 @@ class SpaceSaver {
   std::vector<std::uint32_t> heap_;   // slot ids, min-(count,label) at root
   std::vector<std::uint32_t> pos_;    // slot id -> heap index
   DenseMap<std::uint32_t> index_;     // label -> slot id (may hold stale rows)
+  // Slot id -> batched hits not yet in its count; all zero outside add_batch.
+  std::vector<std::uint64_t> pending_;
 };
 
 }  // namespace ustream

@@ -68,7 +68,7 @@ void UniversalSketch::add_batch(std::span<const std::uint64_t> labels) {
     }
   }
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    if (!routed[l].empty()) layers_[l].add_batch(routed[l]);
+    if (!routed[l].empty()) layers_[l].ingest_batch(routed[l]);
   }
 }
 

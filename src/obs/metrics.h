@@ -32,7 +32,7 @@
 // Compile-time escape hatch: building with -DUSTREAM_NO_METRICS compiles
 // the USTREAM_* instrumentation macros below to nothing (the classes stay
 // available so non-macro call sites still build). bench_obs measures both
-// flavors and bench/run_obs_bench.sh gates enabled-but-idle metrics at
+// flavors and `bench/run_gates.py obs` gates enabled-but-idle metrics at
 // <2% on the ingestion and merge rows.
 #pragma once
 

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "freq/space_saver.h"
 #include "freq/universal_sketch.h"
 #include "netmon/superspreader.h"
+#include "obs/metrics.h"
 #include "stream/zipf.h"
 
 namespace ustream {
@@ -274,6 +276,24 @@ TEST(SpaceSaver, DeserializeAllocatesFromBytesPresentNotDeclaredCapacity) {
   }
 }
 
+// A batch on such a summary sizes its per-slot weights by the entries it
+// holds, not by the declared capacity.
+TEST(SpaceSaver, BatchOnDecodedSummaryAllocatesForEntriesNotDeclaredCapacity) {
+  ByteWriter w;
+  w.u8(1);  // wire version
+  w.varint(std::uint64_t{1} << 40);
+  w.varint(0);  // absent bound
+  w.varint(0);  // total weight
+  w.varint(0);  // entries
+  SpaceSaver ss = SpaceSaver::deserialize(w.data());
+  SpaceSaver::WeightedLabels out;
+  const std::vector<std::uint64_t> labels = {3, 1, 3, 2, 3, 1};
+  ss.add_batch(labels, out);
+  EXPECT_EQ(ss.size(), 3u);
+  EXPECT_EQ(ss.estimate(3).lower, 3u);
+  EXPECT_LT(ss.bytes_used(), 4096u);
+}
+
 // The decoded summary's storage is sized for its entries; it still fills
 // to capacity and evicts like the original.
 TEST(SpaceSaver, DeserializedSummaryKeepsEvicting) {
@@ -512,6 +532,173 @@ TEST(UniversalSketch, MergedSitesMatchUnionStreamOnExactComponents) {
     EXPECT_EQ(a.layer(j).items_processed(), whole.layer(j).items_processed())
         << "layer " << j;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Weighted batch ingest vs the scalar path, byte for byte
+//
+// add_batch keeps hits as per-slot weights and settles the heap root only
+// when a miss needs the true minimum; the eviction sequence, and with it
+// every serialized byte, must still match per-label add() calls.
+
+std::vector<std::uint64_t> sweep_stream(double alpha, std::uint64_t seed) {
+  constexpr std::size_t kItems = 6'000;
+  if (alpha == 0.0) {  // uniform over 1500 labels
+    Xoshiro256 rng(seed);
+    std::vector<std::uint64_t> labels(kItems);
+    for (auto& l : labels) l = 0x9e3779b97f4a7c15ULL * (rng.below(1'500) + 1);
+    return labels;
+  }
+  return SkewedStream(kItems, 20'000, alpha, seed).labels;
+}
+
+// Feeds labels[from, to) to `batched` in spans of `span` labels (0 = one
+// call for the whole range) and to `scalar` one label at a time.
+template <typename Sketch>
+void ingest_both(Sketch& scalar, Sketch& batched, const std::vector<std::uint64_t>& labels,
+                 std::size_t from, std::size_t to, std::size_t span) {
+  for (std::size_t i = from; i < to; ++i) scalar.add(labels[i]);
+  if (span == 0) span = std::max<std::size_t>(to - from, 1);
+  for (std::size_t i = from; i < to; i += span) {
+    batched.add_batch(std::span<const std::uint64_t>(labels.data() + i,
+                                                     std::min(span, to - i)));
+  }
+}
+
+TEST(BatchIngestSweep, MatchesScalarBytesAcrossSkewCapacityAndSpan) {
+  std::uint64_t seed = 40;
+  for (const double alpha : {0.0, 1.1, 1.5, 2.0}) {
+    const auto labels = sweep_stream(alpha, ++seed);
+    for (const std::size_t capacity : {1, 3, 64}) {
+      for (const std::size_t span : {1, 7, 256, 0}) {
+        SCOPED_TRACE(::testing::Message() << "alpha " << alpha << " capacity " << capacity
+                                          << " span " << span);
+        const FreqConfig fc{.depth = 4, .width_log2 = 10, .heavy_capacity = capacity,
+                            .seed = seed};
+        FreqSketch scalar(fc), batched(fc);
+        ingest_both(scalar, batched, labels, 0, labels.size(), span);
+        EXPECT_EQ(batched.serialize(), scalar.serialize());
+
+        const UniversalConfig uc{.levels = 4, .depth = 4, .width_log2 = 9,
+                                 .heavy_capacity = capacity, .seed = seed};
+        UniversalSketch uscalar(uc), ubatched(uc);
+        ingest_both(uscalar, ubatched, labels, 0, labels.size(), span);
+        EXPECT_EQ(ubatched.serialize(), uscalar.serialize());
+      }
+    }
+  }
+}
+
+TEST(BatchIngestSweep, EmptySpanChangesNothing) {
+  const FreqConfig config{.depth = 4, .width_log2 = 10, .heavy_capacity = 3, .seed = 45};
+  FreqSketch sketch(config);
+  const auto labels = sweep_stream(1.5, 46);
+  sketch.add_batch(labels);
+  const auto before = sketch.serialize();
+  sketch.add_batch(std::span<const std::uint64_t>());
+  EXPECT_EQ(sketch.serialize(), before);
+  UniversalSketch us(UniversalConfig{.levels = 4, .depth = 4, .width_log2 = 9,
+                                     .heavy_capacity = 3, .seed = 45});
+  const auto empty = us.serialize();
+  us.add_batch(std::span<const std::uint64_t>());
+  EXPECT_EQ(us.serialize(), empty);
+}
+
+TEST(BatchIngestSweep, InterleavedScalarAndBatchCallsMatchScalar) {
+  const auto labels = sweep_stream(1.1, 47);
+  for (const std::size_t capacity : {1, 3, 64}) {
+    SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
+    const FreqConfig config{.depth = 4, .width_log2 = 10, .heavy_capacity = capacity,
+                            .seed = 48};
+    FreqSketch scalar(config), mixed(config);
+    for (std::uint64_t label : labels) scalar.add(label);
+    // Alternate scalar runs and batches of varying length on one sketch.
+    Xoshiro256 rng(49);
+    for (std::size_t i = 0; i < labels.size();) {
+      const std::size_t n = std::min<std::size_t>(rng.below(300) + 1, labels.size() - i);
+      if (rng.below(2) == 0) {
+        for (std::size_t j = i; j < i + n; ++j) mixed.add(labels[j]);
+      } else {
+        mixed.add_batch(std::span<const std::uint64_t>(labels.data() + i, n));
+      }
+      i += n;
+    }
+    EXPECT_EQ(mixed.serialize(), scalar.serialize());
+  }
+}
+
+// The referee's union shape: a merged space-saver holds more entries than
+// its capacity, so every miss evicts. Batches on it, and on a decoded
+// copy, must still follow the scalar path.
+TEST(BatchIngestSweep, MergedAndDeserializedSketchesMatchScalar) {
+  const auto labels = sweep_stream(1.5, 50);
+  const auto other_site = sweep_stream(0.0, 55);
+  const std::size_t half = labels.size() / 2;
+  for (const std::size_t capacity : {1, 3, 64}) {
+    for (const std::size_t span : {1, 7, 256, 0}) {
+      SCOPED_TRACE(::testing::Message() << "capacity " << capacity << " span " << span);
+      const FreqConfig config{.depth = 4, .width_log2 = 10, .heavy_capacity = capacity,
+                              .seed = 51};
+      FreqSketch a(config), b(config);
+      for (std::size_t i = 0; i < half; ++i) a.add(labels[i]);
+      for (std::uint64_t label : other_site) b.add(label);
+      a.merge(b);
+      ASSERT_GT(a.heavy().size(), capacity);
+
+      FreqSketch scalar = a, batched = a;
+      ingest_both(scalar, batched, labels, half, labels.size(), span);
+      EXPECT_EQ(batched.serialize(), scalar.serialize());
+
+      FreqSketch decoded = FreqSketch::deserialize(a.serialize());
+      FreqSketch decoded_scalar = decoded;
+      ingest_both(decoded_scalar, decoded, labels, half, labels.size(), span);
+      EXPECT_EQ(decoded.serialize(), scalar.serialize());
+      EXPECT_EQ(decoded_scalar.serialize(), scalar.serialize());
+    }
+  }
+}
+
+// Batch metrics: each input label counts once at the public entry point
+// (not again per universal-sketch layer), and a batch reports exactly the
+// evictions the scalar path reports, in one counter add per call.
+TEST(BatchIngestSweep, MetricsCountEachLabelOnceAndScalarEvictions) {
+#if !USTREAM_METRICS_ENABLED
+  GTEST_SKIP() << "built with USTREAM_NO_METRICS";
+#else
+  obs::Counter& items = obs::default_registry().counter("ustream_freq_batch_items_total");
+  obs::Counter& evictions =
+      obs::default_registry().counter("ustream_freq_heavy_evictions_total");
+  const auto labels = sweep_stream(1.5, 52);
+  const std::size_t n = labels.size();
+
+  const FreqConfig fc{.depth = 4, .width_log2 = 10, .heavy_capacity = 16, .seed = 53};
+  FreqSketch scalar(fc), batched(fc);
+  std::uint64_t items0 = items.value(), evictions0 = evictions.value();
+  for (std::uint64_t label : labels) scalar.add(label);
+  const std::uint64_t scalar_evictions = evictions.value() - evictions0;
+  EXPECT_EQ(items.value(), items0);
+  EXPECT_GT(scalar_evictions, 0u);
+  items0 = items.value();
+  evictions0 = evictions.value();
+  for (std::size_t i = 0; i < n; i += 256) {
+    batched.add_batch(
+        std::span<const std::uint64_t>(labels.data() + i, std::min<std::size_t>(256, n - i)));
+  }
+  EXPECT_EQ(items.value() - items0, n);
+  EXPECT_EQ(evictions.value() - evictions0, scalar_evictions);
+
+  const UniversalConfig uc{.levels = 6, .depth = 4, .width_log2 = 9, .heavy_capacity = 16,
+                           .seed = 54};
+  UniversalSketch uscalar(uc), ubatched(uc);
+  evictions0 = evictions.value();
+  for (std::uint64_t label : labels) uscalar.add(label);
+  const std::uint64_t universal_scalar_evictions = evictions.value() - evictions0;
+  items0 = items.value();
+  evictions0 = evictions.value();
+  ubatched.add_batch(labels);
+  EXPECT_EQ(items.value() - items0, n);
+  EXPECT_EQ(evictions.value() - evictions0, universal_scalar_evictions);
+#endif
 }
 
 // ---------------------------------------------------------------------------
