@@ -3,8 +3,8 @@
 // half of what the referee does per message).
 //
 // The BM_Merge*Sites / BM_MergeBottomK* / BM_ContinuousQuery* rows are the
-// merge-engine scaling grid (EXPERIMENTS.md E8, ISSUE-3's "E5" table) and
-// are gated against bench/BENCH_merge.json by `bench/run_gates.py merge`.
+// merge-engine scaling grid (EXPERIMENTS.md E8m) and are gated against
+// bench/BENCH_merge.json by `bench/run_gates.py merge`.
 #include <benchmark/benchmark.h>
 
 #include <utility>
@@ -79,30 +79,43 @@ void BM_SamplerDeserialize(benchmark::State& state) {
 BENCHMARK(BM_SamplerDeserialize);
 
 // ---------------------------------------------------------------------------
-// Merge-engine scaling grid: sequential site-order fold vs tree reduction
-// on the pool, over the referee's site counts. Both sides pay the same
-// copy-the-inputs cost per iteration (reduce consumes its input), so the
-// delta is purely the merge schedule. items == sites merged, so
-// items_per_second reads as "site merges per second".
+// Merge-engine scaling grid: sequential site-order fold vs MergeEngine::
+// reduce, over the referee's site counts, at 5 copies and at the oneshot
+// referee's 37 (eps 0.1, delta 0.05). Site s ingests the labels
+// [s * 2^16, s * 2^16 + 2^17), so neighbours overlap by half, as in
+// bench/pipeline's oneshot_f0. Each iteration copies the inputs (reduce
+// consumes them) with the timer paused, and the rows time wall clock, so
+// the engine's pool threads count. items == sites merged, so
+// items_per_second reads as "site merges per second". Args: {sites, copies}.
 
-std::vector<F0Estimator> site_estimators(std::size_t sites) {
-  const EstimatorParams params{.capacity = 3600, .copies = 5, .seed = 9};
+std::vector<F0Estimator> site_estimators(std::size_t sites, std::size_t copies) {
+  const EstimatorParams params{.capacity = 3600, .copies = copies, .seed = 9};
+  constexpr std::uint64_t kLabels = 1u << 17;
+  std::vector<std::uint64_t> labels(kLabels);
   std::vector<F0Estimator> sketches;
   sketches.reserve(sites);
   for (std::size_t s = 0; s < sites; ++s) {
+    for (std::uint64_t i = 0; i < kLabels; ++i) labels[i] = SplitMix64::mix(s * kLabels / 2 + i);
     F0Estimator est(params);
-    Xoshiro256 rng(s + 1);
-    for (int i = 0; i < 20'000; ++i) est.add(rng.next());
+    est.add_batch(labels);
     sketches.push_back(std::move(est));
   }
   return sketches;
 }
 
+void merge_grid(benchmark::internal::Benchmark* b) {
+  for (const int sites : {4, 16, 64, 256}) b->Args({sites, 5});
+  b->Args({64, 37});
+  b->UseRealTime()->Unit(benchmark::kMicrosecond);
+}
+
 void BM_MergeFoldSites(benchmark::State& state) {
   const auto sites = static_cast<std::size_t>(state.range(0));
-  const auto sketches = site_estimators(sites);
+  const auto sketches = site_estimators(sites, static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
+    state.PauseTiming();
     std::vector<F0Estimator> parts = sketches;
+    state.ResumeTiming();
     F0Estimator referee = std::move(parts[0]);
     for (std::size_t s = 1; s < sites; ++s) referee.merge(parts[s]);
     benchmark::DoNotOptimize(referee.estimate());
@@ -110,23 +123,36 @@ void BM_MergeFoldSites(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(sites));
 }
-BENCHMARK(BM_MergeFoldSites)->Arg(4)->Arg(16)->Arg(64)->Arg(256)
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MergeFoldSites)->Apply(merge_grid);
 
 void BM_MergeEngineSites(benchmark::State& state) {
   const auto sites = static_cast<std::size_t>(state.range(0));
-  const auto sketches = site_estimators(sites);
+  const auto sketches = site_estimators(sites, static_cast<std::size_t>(state.range(1)));
   MergeEngine engine;  // auto-sized to the machine, as collect() uses it
   for (auto _ : state) {
+    state.PauseTiming();
     std::vector<F0Estimator> parts = sketches;
+    state.ResumeTiming();
     auto merged = engine.reduce(std::move(parts));
     benchmark::DoNotOptimize(merged->estimate());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(sites));
 }
-BENCHMARK(BM_MergeEngineSites)->Arg(4)->Arg(16)->Arg(64)->Arg(256)
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MergeEngineSites)->Apply(merge_grid);
+
+// The referee's decode of one oneshot_f0 site frame's payload: an eps 0.1,
+// delta 0.05 estimator (37 copies of capacity 3600) over 2^17 labels,
+// about 664 KiB. items == frames decoded.
+void BM_EstimatorDeserialize(benchmark::State& state) {
+  const auto bytes = site_estimators(1, 37).front().serialize();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(F0Estimator::deserialize(bytes));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["frame_kb"] = static_cast<double>(bytes.size()) / 1024.0;
+}
+BENCHMARK(BM_EstimatorDeserialize)->Unit(benchmark::kMicrosecond);
 
 // BottomK union sampling: pairwise fold (t-1 two-way merges, each
 // rebuilding the k-entry accumulator) vs the single-pass k-way heap merge.

@@ -58,6 +58,12 @@ class DenseMap {
     entries_.reserve(n);
   }
 
+  // reserve(n) plus the constructor's floor: filter() keeps room for n.
+  void presize(std::size_t n) {
+    floor_slots_ = std::max(floor_slots_, table_size_for(n));
+    reserve(n);
+  }
+
   std::size_t size() const noexcept { return entries_.size(); }
   bool empty() const noexcept { return entries_.empty(); }
 

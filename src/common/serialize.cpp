@@ -42,11 +42,6 @@ void ByteWriter::str(const std::string& s) {
   buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
-std::uint8_t ByteReader::u8() {
-  need(1);
-  return data_[pos_++];
-}
-
 std::uint16_t ByteReader::u16() {
   need(2);
   std::uint16_t v = static_cast<std::uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
@@ -71,20 +66,6 @@ std::uint64_t ByteReader::u64() {
 }
 
 double ByteReader::f64() { return std::bit_cast<double>(u64()); }
-
-std::uint64_t ByteReader::varint() {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    need(1);
-    const std::uint8_t b = data_[pos_++];
-    if (shift >= 64) throw SerializationError("varint too long");
-    if (shift == 63 && (b & 0x7f) > 1) throw SerializationError("varint overflow");
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if (!(b & 0x80)) return v;
-    shift += 7;
-  }
-}
 
 std::int64_t ByteReader::svarint() {
   const std::uint64_t u = varint();

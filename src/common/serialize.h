@@ -69,12 +69,29 @@ class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) noexcept : data_(data) {}
 
-  std::uint8_t u8();
+  // Inline: the sampler decoders call these once or twice per entry.
+  std::uint8_t u8() {
+    need(1);
+    return data_[pos_++];
+  }
   std::uint16_t u16();
   std::uint32_t u32();
   std::uint64_t u64();
   double f64();
-  std::uint64_t varint();
+  // Unsigned LEB128; refuses a varint that runs past 10 bytes or 64 bits.
+  std::uint64_t varint() {
+    std::uint64_t v = 0;
+    int shift = 0;
+    while (true) {
+      need(1);
+      const std::uint8_t b = data_[pos_++];
+      if (shift >= 64) throw SerializationError("varint too long");
+      if (shift == 63 && (b & 0x7f) > 1) throw SerializationError("varint overflow");
+      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+      if (!(b & 0x80)) return v;
+      shift += 7;
+    }
+  }
   std::int64_t svarint();
   std::vector<std::uint8_t> bytes(std::size_t n);
   std::string str();

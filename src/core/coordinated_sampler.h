@@ -284,28 +284,26 @@ class CoordinatedSampler {
     items_processed_ += other.items_processed_;
   }
 
-  // k-way merge: folds all of `others` in one pass. Equivalent (and
-  // byte-identical once serialized) to merging them left to right, but
-  // adopts the maximum input level up front — one self-filter instead of
-  // up to t — and defers the capacity raise to a single trailing pass.
-  // Entries are inserted in input order, preserving the leftmost-wins
-  // rule for valued duplicates.
+  // k-way merge: the site-order fold `for (o : others) merge(*o)`, after
+  // checking every input, so a mismatched input leaves this sampler as it
+  // was. The fold beats inserting every input's entries at the maximum
+  // input level and raising once: its accumulator climbs to the union's
+  // level after a few inputs and then rejects most entries with one
+  // compare (DESIGN.md §7.3).
+  //
+  // The accumulator first gets a fresh sampler's table (room for capacity
+  // + 1, kept through level raises), capped by the entries the inputs
+  // hold (DESIGN.md §6.4), so a decoded sampler — sized for its own
+  // entries — does not regrow and reshrink its table on every input.
   void merge_many(std::span<const CoordinatedSampler* const> others) {
-    int target = level_;
+    std::size_t entries = map_.size();
     for (const CoordinatedSampler* o : others) {
       USTREAM_REQUIRE(o != nullptr && can_merge_with(*o),
                       "merge requires samplers with identical seed and capacity");
-      target = std::max(target, o->level_);
+      entries += o->map_.size();
     }
-    if (target > level_) evict_below(target);
-    for (const CoordinatedSampler* o : others) {
-      for (const auto& e : o->map_) {
-        if (e.value.level < level_) continue;
-        map_.try_emplace(e.key, e.value);
-      }
-      items_processed_ += o->items_processed_;
-    }
-    if (map_.size() > capacity_) raise_level();
+    map_.presize(std::min(capacity_ + 1, entries));
+    for (const CoordinatedSampler* o : others) merge(*o);
   }
 
   // --- introspection ---------------------------------------------------------
@@ -370,25 +368,14 @@ class CoordinatedSampler {
     if (count > capacity) throw SerializationError("sampler overfull");
     // Every entry takes at least two bytes (label delta + level), so a
     // count the buffer cannot back is refused before anything is sized,
-    // and the map is sized from the count — never from the capacity the
-    // sender declares (DESIGN.md §6.4). Room for twice the entries keeps
-    // the probe table as sparse as a fresh sampler's (presized for
-    // capacity + 1, which caps it), for the decode and the merges that
-    // usually follow.
+    // and the map is sized for the count — never for the capacity the
+    // sender declares (DESIGN.md §6.4). Later merges into a decoded
+    // sampler grow its map as they need.
     if (count > r.remaining() / 2) throw SerializationError("truncated sampler");
     CoordinatedSampler s(static_cast<std::size_t>(capacity), seed,
-                         static_cast<std::size_t>(std::min(capacity + 1, 2 * count)));
+                         static_cast<std::size_t>(count));
     s.set_level(level);
-    std::uint64_t label = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      label += r.varint();
-      const std::uint8_t lvl = r.u8();
-      if (lvl < level || lvl > Hash::kBits) throw SerializationError("entry level out of range");
-      if (s.level_of(label) != lvl) throw SerializationError("entry level inconsistent with seed");
-      V value = detail::ValueCodec<V>::read(r);
-      if (!s.map_.try_emplace(label, Slot{value, lvl}).second)
-        throw SerializationError("duplicate label in sampler");
-    }
+    s.read_entries(r, count);
     return s;
   }
 
@@ -436,18 +423,7 @@ class CoordinatedSampler {
     if (new_level > level_) evict_below(new_level);
     const std::uint64_t count = r.varint();
     if (count > capacity_) throw SerializationError("sampler delta overfull");
-    std::uint64_t label = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      label += r.varint();
-      const std::uint8_t lvl = r.u8();
-      if (lvl < level_ || lvl > Hash::kBits)
-        throw SerializationError("delta entry level out of range");
-      if (level_of(label) != lvl)
-        throw SerializationError("delta entry level inconsistent with seed");
-      V value = detail::ValueCodec<V>::read(r);
-      if (!map_.try_emplace(label, Slot{value, lvl}).second)
-        throw SerializationError("duplicate label in sampler delta");
-    }
+    read_entries(r, count);
     if (map_.size() > capacity_) throw SerializationError("sampler overfull after delta");
   }
 
@@ -491,6 +467,38 @@ class CoordinatedSampler {
       p = detail::ValueCodec<V>::put(p, e.value.value);
     }
     w.end_raw(p);
+  }
+
+  // The entry block's decoder, shared by deserialize and apply_delta:
+  // inserts `count` entries, each refused unless its level is at or above
+  // the sampler's, matches the seed's hash of its label, and its label is
+  // new. Entries are parsed 64 at a time and each block's labels are
+  // hashed by one hash_block call (SIMD for PairwiseHash), then checked
+  // and inserted in wire order.
+  void read_entries(ByteReader& r, std::uint64_t count) {
+    std::uint64_t labels[kBatchBlock];
+    std::uint64_t h[kBatchBlock];
+    std::uint8_t levels[kBatchBlock];
+    V values[kBatchBlock];
+    std::uint64_t label = 0;
+    for (std::uint64_t i = 0; i < count; i += kBatchBlock) {
+      const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(kBatchBlock, count - i));
+      for (std::size_t j = 0; j < n; ++j) {
+        label += r.varint();
+        labels[j] = label;
+        levels[j] = r.u8();
+        if (levels[j] < level_ || levels[j] > Hash::kBits)
+          throw SerializationError("entry level out of range");
+        values[j] = detail::ValueCodec<V>::read(r);
+      }
+      hash_block(hash_, labels, h, n, 0);
+      for (std::size_t j = 0; j < n; ++j) {
+        if (hash_level(h[j], Hash::kBits) != levels[j])
+          throw SerializationError("entry level inconsistent with seed");
+        if (!map_.try_emplace(labels[j], Slot{values[j], levels[j]}).second)
+          throw SerializationError("duplicate label in sampler");
+      }
+    }
   }
 
   // Whether set-aside survivors are worth probing for "already held":

@@ -89,15 +89,8 @@ class BasicDistinctSumEstimator {
     for (std::size_t i = 0; i < copies_.size(); ++i) copies_[i].merge(other.copies_[i]);
   }
 
-  // Copy-parallel merge; state identical to merge(other).
-  void merge(const BasicDistinctSumEstimator& other, ThreadPool& pool) {
-    USTREAM_REQUIRE(copies_.size() == other.copies_.size(),
-                    "merge requires estimators with identical parameters");
-    pool.parallel_for(copies_.size(),
-                      [&](std::size_t i) { copies_[i].merge(other.copies_[i]); });
-  }
-
-  // Copy-parallel k-way merge; state identical to a left-to-right fold.
+  // Copy-parallel k-way merge, copy by copy as in BasicF0Estimator; state
+  // identical to a left-to-right fold (leftmost value wins).
   void merge_many(std::span<const BasicDistinctSumEstimator* const> others,
                   ThreadPool& pool) {
     for (const BasicDistinctSumEstimator* o : others) {
@@ -143,14 +136,15 @@ class BasicDistinctSumEstimator {
     p.capacity = r.varint();
     p.copies = r.varint();
     if (p.copies == 0 || p.copies > 4096) throw SerializationError("bad copy count");
-    BasicDistinctSumEstimator est(p);
-    est.copies_.clear();
+    // As in BasicF0Estimator: copies are decoded, never constructed at the
+    // declared capacity (DESIGN.md §6.4).
+    std::vector<Sampler> copies;
     for (std::size_t i = 0; i < p.copies; ++i) {
-      est.copies_.push_back(Sampler::deserialize(r));
-      if (est.copies_.back().capacity() != p.capacity)
+      copies.push_back(Sampler::deserialize(r));
+      if (copies.back().capacity() != p.capacity)
         throw SerializationError("copy capacity mismatch");
     }
-    return est;
+    return BasicDistinctSumEstimator(p, std::move(copies));
   }
 
   static BasicDistinctSumEstimator deserialize(std::span<const std::uint8_t> bytes) {
@@ -162,6 +156,9 @@ class BasicDistinctSumEstimator {
 
  private:
   static constexpr std::uint8_t kWireVersion = 2;
+
+  BasicDistinctSumEstimator(const EstimatorParams& params, std::vector<Sampler>&& copies)
+      : params_(params), copies_(std::move(copies)) {}
 
   EstimatorParams params_;
   std::vector<Sampler> copies_;

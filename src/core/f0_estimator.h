@@ -112,9 +112,10 @@ class BasicF0Estimator {
                       [&](std::size_t i) { copies_[i].merge(other.copies_[i]); });
   }
 
-  // Copy-parallel k-way merge: copy i absorbs every input's copy i in one
-  // single-pass merge_many. State is identical to folding `others` left
-  // to right.
+  // Copy-parallel k-way merge: each pool slot takes whole copies, and
+  // copy i folds every input's copy i in site order (Sampler::merge_many).
+  // Per copy this is the left-to-right fold, so the state is identical to
+  // folding `others` one by one. MergeEngine::reduce routes here.
   void merge_many(std::span<const BasicF0Estimator* const> others, ThreadPool& pool) {
     for (const BasicF0Estimator* o : others) {
       USTREAM_REQUIRE(o != nullptr && copies_.size() == o->copies_.size(),

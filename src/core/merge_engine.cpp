@@ -64,6 +64,9 @@ void ThreadPool::parallel_for(std::size_t n,
     t_in_pool_task = was_in_task;
     return;
   }
+  // One job at a time: a second caller would otherwise overwrite the job
+  // state (body_, n_, next_, workers_busy_) while the first is in flight.
+  std::lock_guard<std::mutex> job(job_mu_);
   {
     std::lock_guard<std::mutex> lk(mu_);
     body_ = &body;

@@ -9,28 +9,33 @@
 // Any reduction tree that keeps the inputs in site order therefore yields
 // a referee state BYTE-IDENTICAL to the sequential site-order fold.
 //
-// The schedule is chosen for WORK-efficiency, not just depth: a fold's
-// accumulator raises its sampling level once and then rejects most
-// incoming entries with a cheap level compare, whereas a fully balanced
-// tree pays full capacity-to-capacity merges (map inserts + level raises)
-// at every internal node — measured ~4x the total work at 256 sites
-// (bench_merge). So reduce() runs two phases:
+// The schedule depends on the sketch kind:
 //
-//   1. block folds — the sites are split into p contiguous blocks (one
-//      per pool slot); each slot folds its block sequentially, keeping
-//      the fold's work profile. Wall-clock ~ (t/p) merges.
-//   2. tree over heads — the p block results merge as a balanced tree in
-//      block order, pairs of a round running on the pool; the final
-//      (largest) pair merges copy-parallel (merge(other, pool)) when the
-//      sketch supports it, so the tail of the reduction also uses every
-//      slot. Only p-1 expensive head merges total.
+//   * copy-parallel sketches — those with merge_many(others, pool), i.e.
+//     the multi-copy estimators (F0Estimator, DistinctSumEstimator) — are
+//     handed to that method. Their copies are independent samplers, so
+//     each pool slot folds whole copies over all sites, in site order:
+//     per copy this IS the sequential fold. A fold's accumulator raises
+//     its sampling level once and then rejects most incoming entries with
+//     a cheap level compare, so it is also the least total work.
+//   * every other sketch (BottomKSampler, FreqSketch, ...) runs two phases:
+//     1. block folds — the sites are split into p contiguous blocks (one
+//        per pool slot); each slot folds its block sequentially, keeping
+//        the fold's work profile. Wall-clock ~ (t/p) merges.
+//     2. tree over heads — the p block results merge as a balanced tree
+//        in block order, pairs of a round running on the pool; the final
+//        (largest) pair merges copy-parallel (merge(other, pool)) when the
+//        sketch supports it. A fully balanced tree would pay full
+//        capacity-to-capacity merges at every internal node — measured
+//        ~4x the fold's total work at 256 sites (bench_merge) — so only
+//        p-1 such head merges are paid.
 //
 // Determinism contract (enforced by tests/test_merge_engine.cpp):
 //   reduce(parts) == parts[0].merge(parts[1]).merge(parts[2])... as
 //   serialized bytes, for every sketch kind, any pool size (including 0
 //   workers = fully inline), and any scheduling of the round's tasks —
-//   blocks are contiguous and tasks touch disjoint pairs, so the result
-//   cannot depend on execution order.
+//   copies, blocks and tree pairs are disjoint and each keeps site order,
+//   so the result cannot depend on execution order.
 //
 // Pool sizing: workers = threads-1 and the calling thread participates in
 // every parallel_for, so a 1-core host degenerates to exactly the
@@ -44,6 +49,7 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -71,7 +77,8 @@ class ThreadPool {
   // over the workers plus the calling thread; returns when all n calls
   // have finished. The first exception thrown by any body is rethrown on
   // the caller after the job completes. Re-entrant calls from inside a
-  // pool task run inline (the pool's job state is single-level).
+  // pool task run inline (the pool's job state is single-level); calls
+  // from separate threads take turns, one job at a time.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
  private:
@@ -79,6 +86,7 @@ class ThreadPool {
   void run_indices(const std::function<void(std::size_t)>& body, std::size_t n) noexcept;
 
   std::vector<std::thread> workers_;
+  std::mutex job_mu_;  // held by a non-nested caller for its whole job
   std::mutex mu_;
   std::condition_variable work_cv_;  // a new job generation is available
   std::condition_variable done_cv_;  // all workers finished the generation
@@ -104,18 +112,27 @@ class MergeEngine {
   ThreadPool& pool() noexcept { return pool_; }
   std::size_t threads() const noexcept { return pool_.worker_count() + 1; }
 
-  // Deterministic reduction over `parts` in index order: contiguous block
-  // folds (one block per pool slot) followed by a balanced tree over the
-  // block heads, with the final pair merged copy-parallel when the sketch
-  // supports merge(other, pool). Byte-identical to the sequential fold of
-  // `parts` (see the file comment). Returns nullopt iff parts is empty.
-  // Inputs are consumed.
+  // Deterministic reduction over `parts` in index order, scheduled per
+  // sketch kind (see the file comment): copy-parallel sketches go to
+  // merge_many(others, pool); the rest run contiguous block folds (one
+  // block per pool slot) followed by a balanced tree over the block
+  // heads. Byte-identical to the sequential fold of `parts`. Returns
+  // nullopt iff parts is empty. Inputs are consumed.
   template <typename Sketch>
   std::optional<Sketch> reduce(std::vector<Sketch>&& parts) {
     USTREAM_TRACE_SPAN("ustream_merge_reduce_ns");
     USTREAM_COUNTER_ADD("ustream_merge_parts_total", parts.size());
     if (parts.empty()) return std::nullopt;
     if (parts.size() == 1) return std::move(parts[0]);
+    if constexpr (requires(Sketch& a, std::span<const Sketch* const> others, ThreadPool& tp) {
+                    a.merge_many(others, tp);
+                  }) {
+      std::vector<const Sketch*> rest;
+      rest.reserve(parts.size() - 1);
+      for (std::size_t i = 1; i < parts.size(); ++i) rest.push_back(&parts[i]);
+      parts[0].merge_many(std::span<const Sketch* const>(rest), pool_);
+      return std::move(parts[0]);
+    }
     const std::size_t slots = pool_.worker_count() + 1;
     if (slots == 1) {
       // Inline host: the fold IS the work-optimal schedule.

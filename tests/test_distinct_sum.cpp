@@ -97,6 +97,30 @@ TEST(DistinctSum, SerializeRoundtrip) {
   EXPECT_DOUBLE_EQ(restored.estimate_distinct(), est.estimate_distinct());
 }
 
+// The decoder sizes nothing from the capacity a frame declares (DESIGN.md
+// §6.4): three empty copies declaring capacity 2^40 decode and stay small.
+TEST(DistinctSum, DeserializeAllocatesFromBytesPresentNotDeclaredCapacity) {
+  const std::uint64_t capacity = std::uint64_t{1} << 40;
+  ByteWriter w;
+  w.u8(2);  // estimator wire version
+  w.u64(42);
+  w.varint(capacity);
+  w.varint(3);
+  for (int c = 0; c < 3; ++c) {
+    w.u8(1);  // sampler wire version
+    w.u8(1);  // double values
+    w.u64(7);
+    w.varint(capacity);
+    w.u8(0);  // level
+    w.varint(0);
+  }
+  const DistinctSumEstimator est = DistinctSumEstimator::deserialize(w.data());
+  EXPECT_EQ(est.num_copies(), 3u);
+  EXPECT_EQ(est.copy(0).capacity(), capacity);
+  EXPECT_EQ(est.estimate_sum(), 0.0);
+  EXPECT_LT(est.bytes_used(), 4096u);
+}
+
 TEST(DistinctSum, IntegerValueVariant) {
   BasicDistinctSumEstimator<PairwiseHash, std::uint64_t> est(0.1, 0.05, 77);
   for (std::uint64_t x = 0; x < 100; ++x) est.add(x, 3);

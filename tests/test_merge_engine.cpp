@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -70,6 +71,30 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
     pool.parallel_for(8, [&](std::size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 64u);
+}
+
+// Two threads sharing one pool (MergeEngine::shared() is process-wide):
+// each job must still run every one of its own indices exactly once.
+TEST(ThreadPool, ConcurrentCallersEachRunEveryIndexOnce) {
+  ThreadPool pool(2);
+  constexpr std::size_t kN = 64;
+  constexpr int kJobs = 1000;
+  const auto caller = [&pool](std::vector<int>& missed) {
+    for (int job = 0; job < kJobs; ++job) {
+      std::vector<std::atomic<int>> hits(kN);
+      pool.parallel_for(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
+      for (std::size_t i = 0; i < kN; ++i) {
+        if (hits[i].load() != 1) missed.push_back(job);
+      }
+    }
+  };
+  std::vector<int> missed_a, missed_b;
+  std::thread a([&] { caller(missed_a); });
+  std::thread b([&] { caller(missed_b); });
+  a.join();
+  b.join();
+  EXPECT_TRUE(missed_a.empty()) << missed_a.size() << " bad indices, first in job " << missed_a[0];
+  EXPECT_TRUE(missed_b.empty()) << missed_b.size() << " bad indices, first in job " << missed_b[0];
 }
 
 // ---------------------------------------------------------------------------
@@ -296,6 +321,85 @@ TEST(MergeEngine, BottomKMergeManyMatchesFold) {
   for (std::size_t s = 1; s < parts.size(); ++s) rest.push_back(&parts[s]);
   many.merge_many(std::span<const BottomKSampler* const>(rest));
   EXPECT_EQ(many.serialize(), expected);
+}
+
+// ---------------------------------------------------------------------------
+// Copy-parallel reduction at the oneshot referee's shape (eps 0.1, delta
+// 0.05: 37 copies of capacity 3600): every thread count lands on the
+// sequential fold's bytes.
+
+// Site s sees `sizes[s]` labels starting at s * stride.
+std::vector<F0Estimator> ranged_sites(const EstimatorParams& params,
+                                      const std::vector<std::size_t>& sizes,
+                                      std::uint64_t stride) {
+  std::vector<F0Estimator> sites;
+  for (std::size_t s = 0; s < sizes.size(); ++s) {
+    std::vector<std::uint64_t> labels(sizes[s]);
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      labels[i] = SplitMix64::mix(s * stride + i);
+    }
+    F0Estimator est(params);
+    est.add_batch(labels);
+    sites.push_back(std::move(est));
+  }
+  return sites;
+}
+
+// Both as built and as the referee holds them: decoded, with maps sized
+// for their entries.
+void expect_reduce_matches_fold(const std::vector<F0Estimator>& sites, const char* what) {
+  const Bytes expected = fold_bytes(sites);
+  std::vector<F0Estimator> decoded;
+  for (const F0Estimator& site : sites) {
+    decoded.push_back(F0Estimator::deserialize(site.serialize()));
+  }
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    MergeEngine engine(threads);
+    const std::vector<F0Estimator>* inputs[] = {&sites, &decoded};
+    for (const auto* input : inputs) {
+      auto parts = *input;
+      const auto merged = engine.reduce(std::move(parts));
+      ASSERT_TRUE(merged.has_value());
+      EXPECT_EQ(merged->serialize(), expected)
+          << what << ", threads=" << threads << (input == &decoded ? ", decoded" : "");
+    }
+  }
+}
+
+TEST(MergeEngine, CopyParallelReduceMatchesFoldAtOneshotShape) {
+  const auto params = EstimatorParams::for_guarantee(0.1, 0.05, 37);
+  ASSERT_EQ(params.copies, 37u);
+  // Sites at mixed levels: 2^10 .. 2^17 labels, neighbours overlapping.
+  std::vector<std::size_t> sizes;
+  for (int b = 10; b <= 17; ++b) sizes.push_back(std::size_t{1} << b);
+  expect_reduce_matches_fold(ranged_sites(params, sizes, 1u << 9), "mixed levels");
+  // Fully overlapping sites: one label set, six times.
+  expect_reduce_matches_fold(ranged_sites(params, std::vector<std::size_t>(6, 1u << 14), 0),
+                             "fully overlapping");
+}
+
+TEST(MergeEngine, CopyParallelDegradedReduceMatchesFoldAtOneshotShape) {
+  const auto params = EstimatorParams::for_guarantee(0.1, 0.05, 38);
+  const auto sites = ranged_sites(params, std::vector<std::size_t>(9, 1u << 13), 1u << 12);
+  std::vector<F0Estimator> present;
+  for (std::size_t s = 0; s < sites.size(); ++s) {
+    if (s != 0 && s != 5 && s != 8) present.push_back(sites[s]);
+  }
+  const Bytes expected = fold_bytes(present);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    std::vector<std::optional<F0Estimator>> accepted;
+    for (std::size_t s = 0; s < sites.size(); ++s) {
+      if (s == 0 || s == 5 || s == 8) {
+        accepted.emplace_back(std::nullopt);
+      } else {
+        accepted.emplace_back(sites[s]);
+      }
+    }
+    MergeEngine engine(threads);
+    const auto merged = engine.reduce(std::move(accepted));
+    ASSERT_TRUE(merged.has_value());
+    EXPECT_EQ(merged->serialize(), expected) << "threads=" << threads;
+  }
 }
 
 // ---------------------------------------------------------------------------

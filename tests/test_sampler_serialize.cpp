@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
+#include <vector>
 
+#include "common/dense_map.h"
 #include "common/random.h"
 #include "core/coordinated_sampler.h"
 
@@ -140,6 +143,155 @@ TEST(SamplerSerialize, RejectsTamperedLabels) {
     }
   }
   EXPECT_TRUE(rejected);
+}
+
+// ---------------------------------------------------------------------------
+// The entry decoder works in blocks of 64 entries. Corrupt entries at the
+// front, on both sides of a block boundary and at the back must each be
+// refused, for a pure and for a valued sampler.
+
+struct WireEntry {
+  std::uint64_t label;
+  std::uint8_t level;
+};
+
+// Hand-built sampler wire bytes in CoordinatedSampler::serialize's layout
+// (version, value tag, seed, capacity, level, count, then per entry: label
+// delta, level, value). Entries go out in the order given, so a test can
+// plant any corruption anywhere; `starts` receives each entry's offset.
+template <typename V>
+std::vector<std::uint8_t> encode_sampler(std::uint64_t seed, std::uint64_t capacity, int level,
+                                         const std::vector<WireEntry>& entries,
+                                         std::vector<std::size_t>* starts = nullptr) {
+  ByteWriter w;
+  w.u8(1);
+  w.u8(detail::ValueCodec<V>::kTag);
+  w.u64(seed);
+  w.varint(capacity);
+  w.u8(static_cast<std::uint8_t>(level));
+  w.varint(entries.size());
+  std::uint64_t prev = 0;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (starts) starts->push_back(w.size());
+    w.varint(entries[i].label - prev);
+    prev = entries[i].label;
+    w.u8(entries[i].level);
+    std::uint8_t value[detail::ValueCodec<V>::kMaxBytes + 1];
+    V v{};
+    if constexpr (!std::is_empty_v<V>) v = static_cast<V>(i);
+    const std::uint8_t* end = detail::ValueCodec<V>::put(value, v);
+    w.bytes(std::span<const std::uint8_t>(value, static_cast<std::size_t>(end - value)));
+  }
+  return w.take();
+}
+
+// `count` random labels of level >= 1 under `seed`, in label order, each
+// with its true level.
+template <typename S>
+std::vector<WireEntry> level_one_entries(std::uint64_t seed, std::size_t count) {
+  const S probe(16, seed);
+  Xoshiro256 rng(seed + 1);
+  std::vector<std::uint64_t> labels;
+  while (labels.size() < count) {
+    const std::uint64_t x = rng.next();
+    if (probe.level_of(x) >= 1) labels.push_back(x);
+  }
+  std::sort(labels.begin(), labels.end());
+  std::vector<WireEntry> out;
+  for (const std::uint64_t x : labels) {
+    out.push_back({x, static_cast<std::uint8_t>(probe.level_of(x))});
+  }
+  return out;
+}
+
+template <typename S, typename V>
+void expect_corrupt_entries_refused() {
+  constexpr std::uint64_t kSeed = 0xB10C;
+  constexpr std::size_t kCount = 130;  // two full blocks and a partial one
+  const auto valid = level_one_entries<S>(kSeed, kCount);
+  const S probe(16, kSeed);
+  WireEntry level_zero{1, 0};
+  while (probe.level_of(level_zero.label) != 0) ++level_zero.label;
+  std::vector<std::size_t> starts;
+  const auto good = encode_sampler<V>(kSeed, 4096, 1, valid, &starts);
+  ASSERT_EQ(S::deserialize(good).serialize(), good);
+
+  for (const std::size_t at : {std::size_t{0}, std::size_t{63}, std::size_t{64},
+                               std::size_t{65}, kCount - 1}) {
+    const auto refused = [&](const char* what, const std::vector<WireEntry>& entries) {
+      EXPECT_THROW((void)S::deserialize(encode_sampler<V>(kSeed, 4096, 1, entries)),
+                   SerializationError)
+          << what << " at entry " << at;
+    };
+    auto entries = valid;
+    entries[at] = level_zero;  // true to the seed, but below the sampler's level 1
+    refused("level below the sampler's", entries);
+    entries[at] = valid[at];
+    entries[at].level = static_cast<std::uint8_t>(S::max_level() + 1);
+    refused("level above the hash's bits", entries);
+    entries[at].level = static_cast<std::uint8_t>(valid[at].level + 1);
+    refused("level inconsistent with the seed", entries);
+
+    entries = valid;
+    entries[at] = valid[at == 0 ? 1 : at - 1];
+    refused("duplicate label", entries);
+
+    // One byte into the entry's label delta: random labels make every
+    // delta a multi-byte varint, so that byte promises another one.
+    ASSERT_NE(good[starts[at]] & 0x80, 0) << "entry " << at;
+    const std::vector<std::uint8_t> cut(good.begin(),
+                                        good.begin() + static_cast<long>(starts[at] + 1));
+    EXPECT_THROW((void)S::deserialize(cut), SerializationError)
+        << "truncated varint at entry " << at;
+  }
+}
+
+TEST(SamplerSerialize, RejectsCorruptEntriesAroundDecodeBlocks) {
+  expect_corrupt_entries_refused<Sampler, Unit>();
+}
+
+TEST(SamplerSerialize, ValuedRejectsCorruptEntriesAroundDecodeBlocks) {
+  expect_corrupt_entries_refused<ValueSampler, double>();
+}
+
+// Decoded samplers re-serialize to their input bytes at every block
+// shape, and their map is sized for the entries present (DESIGN.md §6.4):
+// exactly what DenseMap::reserve(count) gives, whatever the capacity.
+TEST(SamplerSerialize, DecodeRoundTripsAndSizesTheMapForTheCount) {
+  for (const std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{63},
+                                  std::size_t{64}, std::size_t{65}, std::size_t{130},
+                                  std::size_t{3600}}) {
+    const auto bytes =
+        encode_sampler<Unit>(0xB10C, 4096, 1, level_one_entries<Sampler>(0xB10C, count));
+    const Sampler s = Sampler::deserialize(bytes);
+    EXPECT_EQ(s.serialize(), bytes) << count;
+    DenseMap<Sampler::Slot> reserved;
+    reserved.reserve(count);
+    EXPECT_EQ(s.entries().table_size(), reserved.table_size()) << count;
+
+    const auto valued =
+        encode_sampler<double>(0xB10C, 4096, 1, level_one_entries<ValueSampler>(0xB10C, count));
+    EXPECT_EQ(ValueSampler::deserialize(valued).serialize(), valued) << count;
+  }
+}
+
+
+// merge_many gives its accumulator room for the entries its inputs hold,
+// never for the capacity they declare (DESIGN.md §6.4): samplers decoded
+// from frames declaring capacity 2^40 still merge in a few KiB.
+TEST(SamplerSerialize, MergeManyOfDecodedSamplersSizesFromEntriesNotDeclaredCapacity) {
+  const std::uint64_t capacity = std::uint64_t{1} << 40;
+  const auto decode = [&](std::size_t count) {
+    return Sampler::deserialize(
+        encode_sampler<Unit>(0xB10C, capacity, 1, level_one_entries<Sampler>(0xB10C, count)));
+  };
+  Sampler acc = decode(3);
+  const Sampler a = decode(5);
+  const Sampler b = decode(7);
+  const Sampler* others[] = {&a, &b};
+  acc.merge_many(others);
+  EXPECT_EQ(acc.size(), 7u);  // each input's labels extend the previous one's
+  EXPECT_LT(acc.bytes_used(), 4096u);
 }
 
 }  // namespace
