@@ -66,7 +66,7 @@ std::string CollectReport::summary() const {
 }
 
 CollectState::CollectState(std::size_t sites, PayloadKind expected_kind, DedupMode mode)
-    : expected_kind_(expected_kind), mode_(mode) {
+    : expected_kind_(expected_kind), mode_(mode), head_shard_(sites, 0) {
   report_.sites_total = sites;
   report_.per_site.resize(sites);
 }
@@ -79,67 +79,81 @@ void CollectState::enable_deltas(PayloadKind delta_kind) {
   delta_kind_ = delta_kind;
 }
 
-std::optional<CollectState::Accepted> CollectState::ingest(
-    std::span<const std::uint8_t> frame_bytes) {
-  Frame frame;
+std::optional<Frame> CollectState::decode(std::span<const std::uint8_t> frame_bytes) {
   try {
-    frame = frame_decode(frame_bytes);
+    return frame_decode(frame_bytes);
   } catch (const SerializationError&) {
-    report_.frames_quarantined += 1;
     return std::nullopt;
   }
-  const bool is_delta = delta_kind_.has_value() && frame.header.kind == *delta_kind_;
+}
+
+Verdict CollectState::judge(const FrameHeader& header, std::uint32_t shard) const {
+  const bool delta = is_delta(header.kind);
   // Structurally sound frame, but from the wrong protocol or an unknown
-  // sender: also quarantine — the CRC protects integrity, not intent.
-  if ((frame.header.kind != expected_kind_ && !is_delta) ||
-      frame.header.site >= report_.per_site.size()) {
-    report_.frames_quarantined += 1;
-    return std::nullopt;
+  // sender: quarantine — the CRC protects integrity, not intent.
+  if ((header.kind != expected_kind_ && !delta) || header.site >= report_.per_site.size()) {
+    return Verdict::kQuarantined;
   }
-  SiteCollectStatus& status = report_.per_site[frame.header.site];
-  if (is_delta) {
-    // A delta only extends an intact chain: the site must have reported and
-    // the delta must be the immediate successor of the accepted epoch.
+  const SiteCollectStatus& status = report_.per_site[header.site];
+  if (delta) {
+    // A delta only extends an intact chain held on this shard (see admit).
     // Retransmits of an already-applied epoch are duplicates/stale (the ack
     // was lost, the state wasn't); everything else is a chain break that
-    // obliges the site to resync with a full frame.
-    if (status.reported && frame.header.epoch == status.accepted_epoch) {
-      report_.duplicates_dropped += 1;
-      return std::nullopt;
+    // obliges the site to resync with a full frame — including a delta
+    // that claims another group than its chain: the site re-tagged itself,
+    // so its mirror is stale.
+    if (!status.reported || head_shard_[header.site] != shard) return Verdict::kResync;
+    if (header.epoch == status.accepted_epoch) return Verdict::kDuplicate;
+    if (header.epoch < status.accepted_epoch) return Verdict::kStale;
+    if (header.epoch != status.accepted_epoch + 1 || header.group != status.group) {
+      return Verdict::kResync;
     }
-    if (status.reported && frame.header.epoch < status.accepted_epoch) {
-      report_.stale_dropped += 1;
-      return std::nullopt;
-    }
-    // A delta that claims a different group than the chain it extends is a
-    // chain break too: the site re-tagged itself, so its mirror is stale.
-    if (!status.reported || frame.header.epoch != status.accepted_epoch + 1 ||
-        frame.header.group != status.group) {
-      report_.resyncs += 1;
-      return std::nullopt;
-    }
-    status.accepted_epoch = frame.header.epoch;
-    report_.deltas_applied += 1;
-    return Accepted{frame.header.site, frame.header.epoch, frame.header.kind,
-                    frame.header.group, std::move(frame.payload)};
+    return Verdict::kAccepted;
   }
   if (status.reported) {
-    if (mode_ == DedupMode::kExactlyOnce || frame.header.epoch == status.accepted_epoch) {
-      report_.duplicates_dropped += 1;
-      return std::nullopt;
+    if (mode_ == DedupMode::kExactlyOnce || header.epoch == status.accepted_epoch) {
+      return Verdict::kDuplicate;
     }
-    if (frame.header.epoch < status.accepted_epoch) {
-      report_.stale_dropped += 1;
-      return std::nullopt;
-    }
-  } else {
-    report_.sites_reported += 1;
-    status.reported = true;
+    if (header.epoch < status.accepted_epoch) return Verdict::kStale;
   }
-  status.accepted_epoch = frame.header.epoch;
-  status.group = frame.header.group;
-  return Accepted{frame.header.site, frame.header.epoch, frame.header.kind,
-                  frame.header.group, std::move(frame.payload)};
+  return Verdict::kAccepted;
+}
+
+void CollectState::record(const FrameHeader& header, Verdict verdict, std::uint32_t shard) {
+  switch (verdict) {
+    case Verdict::kAccepted: {
+      SiteCollectStatus& status = report_.per_site[header.site];
+      if (!status.reported) {
+        status.reported = true;
+        report_.sites_reported += 1;
+      }
+      status.accepted_epoch = header.epoch;
+      status.group = header.group;
+      head_shard_[header.site] = shard;
+      if (is_delta(header.kind)) report_.deltas_applied += 1;
+      break;
+    }
+    case Verdict::kDuplicate: report_.duplicates_dropped += 1; break;
+    case Verdict::kStale: report_.stale_dropped += 1; break;
+    case Verdict::kQuarantined: report_.frames_quarantined += 1; break;
+    case Verdict::kResync: report_.resyncs += 1; break;
+  }
+}
+
+Verdict CollectState::quarantine() noexcept {
+  report_.frames_quarantined += 1;
+  return Verdict::kQuarantined;
+}
+
+std::optional<CollectState::Accepted> CollectState::ingest(
+    std::span<const std::uint8_t> frame_bytes) {
+  std::optional<Accepted> out;
+  admit(frame_bytes, [&out](Frame& frame) {
+    out = Accepted{frame.header.site, frame.header.epoch, frame.header.kind,
+                   frame.header.group, std::move(frame.payload)};
+    return true;
+  });
+  return out;
 }
 
 void CollectState::record_send(std::size_t site) {
@@ -150,41 +164,6 @@ void CollectState::record_send(std::size_t site) {
 
 void CollectState::record_fresh_send(std::size_t site) {
   report_.per_site[site].attempts += 1;
-}
-
-void CollectState::reject_accepted(std::size_t site) {
-  SiteCollectStatus& status = report_.per_site[site];
-  if (status.reported) {
-    status.reported = false;
-    report_.sites_reported -= 1;
-  }
-  status.accepted_epoch = 0;
-  report_.frames_quarantined += 1;
-}
-
-void CollectState::demote_accepted(std::size_t site, std::uint32_t previous_epoch,
-                                   bool previously_reported, bool count_stale,
-                                   std::uint16_t previous_group) {
-  SiteCollectStatus& status = report_.per_site[site];
-  if (status.reported && !previously_reported) {
-    status.reported = false;
-    report_.sites_reported -= 1;
-  }
-  status.accepted_epoch = previous_epoch;
-  status.group = previous_group;
-  if (count_stale) {
-    report_.stale_dropped += 1;
-  } else {
-    report_.duplicates_dropped += 1;
-  }
-}
-
-void CollectState::demote_delta(std::size_t site, std::uint32_t previous_epoch) {
-  SiteCollectStatus& status = report_.per_site[site];
-  status.accepted_epoch = previous_epoch;
-  USTREAM_REQUIRE(report_.deltas_applied > 0, "demote_delta without an applied delta");
-  report_.deltas_applied -= 1;
-  report_.resyncs += 1;
 }
 
 void CollectState::restore_accepted(std::size_t site, std::uint32_t epoch,
@@ -198,6 +177,7 @@ void CollectState::restore_accepted(std::size_t site, std::uint32_t epoch,
   }
   status.accepted_epoch = epoch;
   status.group = group;
+  head_shard_[site] = 0;
   if (status.attempts == 0) status.attempts = 1;
 }
 
@@ -207,41 +187,16 @@ void CollectState::finalize(std::uint32_t max_attempts) {
   }
 }
 
-CollectReport merge_reports(const std::vector<CollectReport>& parts) {
-  USTREAM_REQUIRE(!parts.empty(), "merge_reports needs at least one part");
-  CollectReport merged;
-  merged.sites_total = parts[0].sites_total;
-  merged.per_site.resize(merged.sites_total);
-  for (const CollectReport& part : parts) {
-    USTREAM_REQUIRE(part.sites_total == merged.sites_total,
-                    "merge_reports: mismatched sites_total");
-    merged.frames_quarantined += part.frames_quarantined;
-    merged.duplicates_dropped += part.duplicates_dropped;
-    merged.stale_dropped += part.stale_dropped;
-    merged.deltas_applied += part.deltas_applied;
-    merged.resyncs += part.resyncs;
-    for (std::size_t s = 0; s < merged.sites_total; ++s) {
-      const SiteCollectStatus& in = part.per_site[s];
-      SiteCollectStatus& out = merged.per_site[s];
-      out.attempts += in.attempts;
-      if (in.reported) {
-        // At most one shard holds the winning epoch for a site (the shared
-        // arbiter demotes losers), but under kLatestWins several shards may
-        // each have legitimately held older epochs earlier — the fold keeps
-        // the newest.
-        if (!out.reported || in.accepted_epoch > out.accepted_epoch) {
-          out.accepted_epoch = in.accepted_epoch;
-          out.group = in.group;
-        }
-        out.reported = true;
-      }
-    }
+CollectReport CollectState::shard_view(std::uint32_t shard) const {
+  CollectReport view;
+  view.sites_total = report_.sites_total;
+  view.per_site.resize(report_.sites_total);
+  for (std::size_t s = 0; s < report_.sites_total; ++s) {
+    if (!report_.per_site[s].reported || head_shard_[s] != shard) continue;
+    view.per_site[s] = report_.per_site[s];
+    view.sites_reported += 1;
   }
-  for (const SiteCollectStatus& status : merged.per_site) {
-    if (status.reported) merged.sites_reported += 1;
-    if (status.attempts > 1) merged.retries += status.attempts - 1;
-  }
-  return merged;
+  return view;
 }
 
 }  // namespace ustream

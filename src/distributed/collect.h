@@ -1,5 +1,6 @@
-// The referee's fault-tolerance toolkit: retry policy, frame validation /
-// dedup state, and the CollectReport that makes degraded mode quantifiable.
+// The referee's fault-tolerance toolkit: retry policy, the acceptance
+// ledger (CollectState: frame validation, dedup, one verdict per frame) and
+// the CollectReport that makes degraded mode quantifiable.
 //
 // Mergeable sketches give graceful degradation for free — a missing site's
 // sketch lowers the union estimate by a bounded, one-sided amount — but
@@ -81,21 +82,66 @@ struct CollectReport {
 
 enum class DedupMode { kExactlyOnce, kLatestWins };
 
-// Validates drained frames and maintains the per-site dedup state plus the
-// running CollectReport. The payload of an accepted frame is handed back to
-// the caller; everything else lands in a report counter.
+// The ledger's decision on one frame. The values are the ack bytes the TCP
+// referee echoes (net::PushAck), so a verdict crosses the wire unchanged.
+enum class Verdict : std::uint8_t {
+  kAccepted = 'A',     // the sink took the payload; the site's entry moved
+  kDuplicate = 'D',    // same (site, epoch) already held (any epoch, exactly-once)
+  kStale = 'S',        // older epoch than the one held
+  kQuarantined = 'Q',  // failed CRC/decode/validation, or the sink refused a full frame
+  kResync = 'R',       // a delta that does not extend the chain; a full frame is owed
+};
+
+// The acceptance ledger: per-site dedup state plus the running
+// CollectReport. Every referee — DistributedRun, the continuous monitors,
+// the TCP RefereeServer (one ledger for all its shards) and crash recovery
+// — decides each frame's verdict here, once: admit() judges the frame,
+// hands an accepted payload to the caller's sink, and records the outcome.
+// A sink that refuses turns the verdict into Q (full frame) or R (delta)
+// and leaves the site's entry as it was, so nothing is ever undone.
 class CollectState {
  public:
   CollectState(std::size_t sites, PayloadKind expected_kind, DedupMode mode);
 
   // Opts into the continuous-mode delta protocol: frames of `delta_kind`
   // are accepted IFF they extend the site's chain exactly — the site has
-  // reported and the delta's epoch is accepted_epoch + 1. Anything else
-  // (unreported site, epoch gap) counts a resync: the frame is dropped and
-  // the site owes a full frame of the expected kind, which re-bases the
-  // chain through the ordinary latest-wins path. Requires kLatestWins — a
-  // chain is meaningless under exactly-once.
+  // reported, the delta's epoch is accepted_epoch + 1 under the chain's
+  // group, and it arrived on the shard that accepted the chain head.
+  // Anything else counts a resync: the frame is dropped and the site owes
+  // a full frame of the expected kind, which re-bases the chain through
+  // the ordinary latest-wins path. Requires kLatestWins — a chain is
+  // meaningless under exactly-once.
   void enable_deltas(PayloadKind delta_kind);
+
+  // Frame-layer validation (magic, version, CRC); nullopt = corrupt bytes.
+  // Kept apart from admit() so a referee can run it outside its lock.
+  static std::optional<Frame> decode(std::span<const std::uint8_t> frame_bytes);
+
+  // Judges a decoded frame against the ledger and records the verdict.
+  // On an acceptance `sink(Frame&)` runs first — it may move the payload
+  // out — and returns whether it took the frame. `shard` is the referee
+  // shard the frame arrived on; the ledger remembers which shard accepted
+  // each site's head and gives a delta from any other shard R: WAL replay
+  // orders records by (shard, seq), so a delta logged on another shard
+  // than its base could replay before the base. Never throws on bad
+  // bytes — corruption is data here, not an error.
+  template <typename Sink>
+  Verdict admit(Frame& frame, Sink&& sink, std::uint32_t shard = 0) {
+    Verdict verdict = judge(frame.header, shard);
+    if (verdict == Verdict::kAccepted && !sink(frame)) {
+      verdict = is_delta(frame.header.kind) ? Verdict::kResync : Verdict::kQuarantined;
+    }
+    record(frame.header, verdict, shard);
+    return verdict;
+  }
+  // Records bytes that did not decode (or never completed): always Q.
+  Verdict quarantine() noexcept;
+  // decode() + admit(), for callers with no lock to keep decode out of.
+  template <typename Sink>
+  Verdict admit(std::span<const std::uint8_t> frame_bytes, Sink&& sink) {
+    std::optional<Frame> frame = decode(frame_bytes);
+    return frame ? admit(*frame, sink) : quarantine();
+  }
 
   struct Accepted {
     std::size_t site = 0;
@@ -104,11 +150,7 @@ class CollectState {
     std::uint16_t group = 0;                  // frame's group tag (0 = ungrouped)
     std::vector<std::uint8_t> payload;
   };
-
-  // Frame-layer verdict on one drained message. Returns the payload iff
-  // this (site, epoch) is accepted under the dedup mode; otherwise updates
-  // quarantine/duplicate/stale counters and returns nullopt. Never throws
-  // on bad bytes — corruption is data here, not an error.
+  // admit() with a sink that takes every payload: returns it iff accepted.
   std::optional<Accepted> ingest(std::span<const std::uint8_t> frame_bytes);
 
   // Attempt accounting. record_send counts a retransmission (retry) when
@@ -117,31 +159,11 @@ class CollectState {
   // fresh messages, not retries.
   void record_send(std::size_t site);
   void record_fresh_send(std::size_t site);
-  // Un-accepts a frame whose CRC passed but whose payload failed to
-  // deserialize (a 2^-32 CRC collision): quarantines it and reopens the
-  // site so the retry loop can try again.
-  void reject_accepted(std::size_t site);
-  // Un-accepts the frame ingest() just accepted for `site` because a
-  // GLOBAL arbiter (another referee shard) already holds a conflicting
-  // acceptance, restoring the site's prior local state and counting the
-  // frame as a duplicate (or stale, when the global winner's epoch is
-  // newer). This is how a sharded referee keeps the folded ledger
-  // identical to a sequential referee over the same frame stream: the
-  // frame a single loop would have dropped at its own dedup table is
-  // dropped here at the shared one, under the same counter.
-  void demote_accepted(std::size_t site, std::uint32_t previous_epoch,
-                       bool previously_reported, bool count_stale,
-                       std::uint16_t previous_group = 0);
-  // Un-accepts a DELTA ingest() just accepted because the global arbiter's
-  // chain head disagrees (another shard advanced the site, or the payload
-  // failed to apply): rolls the epoch back and converts the acceptance
-  // into a resync, so the site retransmits a full frame.
-  void demote_delta(std::size_t site, std::uint32_t previous_epoch);
   // Ledger restore hook for crash recovery (durability/recovery.h): marks
-  // `site` as reported at `epoch` with one attempt, exactly as if its
-  // winning frame had been sent once and accepted. Replayed WAL frames go
-  // through ingest() for validation; this hook then transplants the
-  // resulting acceptance into the referee's live ledger without touching
+  // `site` as reported at `epoch` with one attempt, its head on shard 0,
+  // exactly as if its winning frame had been sent once and accepted there.
+  // Recovery judges the replayed WAL frames with admit(); this hook
+  // transplants the result into the referee's live ledger without touching
   // the retry/duplicate counters — attempts spent before the crash are
   // history the restarted ledger reports as one clean send per site.
   void restore_accepted(std::size_t site, std::uint32_t epoch,
@@ -152,26 +174,24 @@ class CollectState {
   std::uint32_t site_attempts(std::size_t site) const { return report_.per_site[site].attempts; }
   bool all_reported() const noexcept { return report_.sites_reported == report_.sites_total; }
 
-  CollectReport& report() noexcept { return report_; }
   const CollectReport& report() const noexcept { return report_; }
+  // The sites whose head `shard` accepted: their per_site entries and
+  // sites_reported; every other entry and every counter is zero.
+  CollectReport shard_view(std::uint32_t shard) const;
 
  private:
+  bool is_delta(PayloadKind kind) const noexcept {
+    return delta_kind_.has_value() && kind == *delta_kind_;
+  }
+  Verdict judge(const FrameHeader& header, std::uint32_t shard) const;
+  void record(const FrameHeader& header, Verdict verdict, std::uint32_t shard);
+
   PayloadKind expected_kind_;
   DedupMode mode_;
   std::optional<PayloadKind> delta_kind_;
   CollectReport report_;
+  std::vector<std::uint32_t> head_shard_;  // per site: shard that accepted the head
 };
-
-// Folds per-shard referee ledgers into the single report a sequential
-// referee over the same frame stream would produce. Per site: attempts
-// sum, reported = any shard reported, accepted_epoch = max over reporting
-// shards (cross-shard demotion guarantees at most one shard holds the
-// winning epoch), group = the winning shard's group tag. Quarantine/
-// duplicate/stale counters sum; retries are recomputed from the folded
-// attempts (sum over sites of attempts - 1) so a site whose
-// retransmissions landed on different shards still counts them — each
-// shard alone saw one attempt, the union saw a retry.
-CollectReport merge_reports(const std::vector<CollectReport>& parts);
 
 // Per-group sketch for a grouped collection: the reduced union of one
 // group's reporting sites, plus which sites contributed.

@@ -201,28 +201,19 @@ void ContinuousUnionMonitor::settle_delta(std::size_t site) {
 
 void ContinuousUnionMonitor::drain_into_referee() {
   for (const auto& message : transport_->drain()) {
-    if (auto acc = state_.ingest(message)) {
-      accept(acc->site, acc->epoch, acc->kind, std::span<const std::uint8_t>(acc->payload));
-    }
+    state_.admit(message, [this](const Frame& frame) { return accept(frame); });
   }
 }
 
-void ContinuousUnionMonitor::accept(std::size_t site, std::uint32_t epoch, PayloadKind kind,
-                                    std::span<const std::uint8_t> payload) {
-  const bool delta = kind == PayloadKind::kF0Delta;
-  if (delta && !store_.has(site)) {
-    state_.demote_delta(site, epoch - 1);
-    return;
-  }
-  // The store applies a delta transactionally, so a payload that fails
-  // mid-apply (CRC collision on a corrupted frame) leaves the snapshot
-  // untouched and demotes the acceptance to a resync; a full frame that
-  // will not parse keeps the previous snapshot. Either way: quarantined.
-  if (!store_.accept(site, 0, kind, payload)) {
-    if (delta) state_.demote_delta(site, epoch - 1);
-    state_.report().frames_quarantined += 1;
-    return;
-  }
+// The ledger's sink. The store applies a delta transactionally and refuses
+// a payload that will not parse or apply (a CRC collision on a corrupted
+// frame), keeping the previous snapshot; the ledger then records Q for a
+// full frame or R for a delta and leaves the site's entry where it was, so
+// flush() keeps retrying it.
+bool ContinuousUnionMonitor::accept(const Frame& frame) {
+  const std::size_t site = frame.header.site;
+  const std::uint32_t epoch = frame.header.epoch;
+  if (!store_.accept(site, 0, frame.header.kind, frame.payload)) return false;
   ++snapshots_;
   // Attribute the ack to the prefix that snapshot covered.
   auto& pending = pending_items_[site];
@@ -233,6 +224,7 @@ void ContinuousUnionMonitor::accept(std::size_t site, std::uint32_t epoch, Paylo
     }
   }
   std::erase_if(pending, [epoch](const auto& entry) { return entry.first <= epoch; });
+  return true;
 }
 
 const CollectReport& ContinuousUnionMonitor::flush() {
@@ -493,36 +485,25 @@ const CollectReport& ContinuousWindowedMonitor::flush() {
 
 void ContinuousWindowedMonitor::drain_into_referee() {
   for (const auto& message : transport_->drain()) {
-    if (auto acc = state_.ingest(message)) {
-      accept(acc->site, acc->epoch, acc->kind, std::span<const std::uint8_t>(acc->payload));
-    }
+    state_.admit(message, [this](const Frame& frame) { return accept(frame); });
   }
 }
 
-void ContinuousWindowedMonitor::accept(std::size_t site, std::uint32_t epoch, PayloadKind kind,
-                                       std::span<const std::uint8_t> payload) {
-  (void)epoch;
-  if (kind == PayloadKind::kWindowedDelta) {
-    if (!mirrors_[site].has_value()) {
-      state_.demote_delta(site, epoch - 1);
-      return;
-    }
-    try {
+bool ContinuousWindowedMonitor::accept(const Frame& frame) {
+  std::optional<WindowedF0Estimator>& mirror = mirrors_[frame.header.site];
+  const std::span<const std::uint8_t> payload(frame.payload);
+  try {
+    if (frame.header.kind == PayloadKind::kWindowedDelta) {
+      if (!mirror.has_value()) return false;
       // apply_delta validates everything (including the base match) before
-      // mutating, so a failure leaves the mirror untouched.
-      mirrors_[site]->apply_delta(payload);
-    } catch (const SerializationError&) {
-      state_.demote_delta(site, epoch - 1);
-      state_.report().frames_quarantined += 1;
-      return;
+      // mutating, so a refused delta leaves the mirror untouched.
+      mirror->apply_delta(payload);
+    } else {
+      mirror = WindowedF0Estimator::deserialize(payload);
     }
-  } else {
-    try {
-      mirrors_[site] = WindowedF0Estimator::deserialize(payload);
-    } catch (const SerializationError&) {
-      state_.report().frames_quarantined += 1;
-      return;
-    }
+    return true;
+  } catch (const SerializationError&) {
+    return false;
   }
 }
 

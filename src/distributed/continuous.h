@@ -190,8 +190,7 @@ class ContinuousUnionMonitor {
   void push_delta(std::size_t site, const DeltaSiteSession::Outgoing& out);
   void settle_delta(std::size_t site);
   void drain_into_referee();
-  void accept(std::size_t site, std::uint32_t epoch, PayloadKind kind,
-              std::span<const std::uint8_t> payload);
+  bool accept(const Frame& frame);
   const CollectReport& flush_delta();
 
   EstimatorParams params_;
@@ -251,8 +250,7 @@ class ContinuousWindowedMonitor {
   void push(std::size_t site);
   void send_full(std::size_t site, bool fresh);
   void drain_into_referee();
-  void accept(std::size_t site, std::uint32_t epoch, PayloadKind kind,
-              std::span<const std::uint8_t> payload);
+  bool accept(const Frame& frame);
 
   EstimatorParams params_;
   std::uint64_t ops_per_delta_;

@@ -105,20 +105,20 @@ class DistributedRun {
     payloads.reserve(sites_.size());
     for (const Sketch& s : sites_) payloads.push_back(s.serialize());
     std::vector<std::optional<Sketch>> accepted(sites_.size());
-    const auto ingest_drained = [&] {
-      for (const auto& message : transport_->drain()) {
-        auto acc = state.ingest(message);
-        if (!acc) continue;
-        try {
-          accepted[acc->site].emplace(
-              Sketch::deserialize(std::span<const std::uint8_t>(acc->payload)));
-        } catch (const SerializationError&) {
-          // CRC passed but the payload would not parse (a 2^-32 CRC
-          // collision on a corrupted frame): quarantine and let the retry
-          // loop reopen the site rather than poisoning the merge.
-          state.reject_accepted(acc->site);
-        }
+    // A payload that will not parse despite its CRC (a 2^-32 collision on
+    // a corrupted frame) is refused: quarantined, and the site stays open
+    // for the retry loop rather than poisoning the merge.
+    const auto sink = [&accepted](Frame& frame) {
+      try {
+        accepted[frame.header.site].emplace(
+            Sketch::deserialize(std::span<const std::uint8_t>(frame.payload)));
+        return true;
+      } catch (const SerializationError&) {
+        return false;
       }
+    };
+    const auto ingest_drained = [&] {
+      for (const auto& message : transport_->drain()) state.admit(message, sink);
     };
 
     for (std::uint32_t round = 0; round < policy.max_attempts_per_site; ++round) {
@@ -145,7 +145,7 @@ class DistributedRun {
     // Total loss still yields a queryable (empty) referee — maximally
     // degraded, and the report says so.
     if (!referee_) referee_.emplace(make_sketch_());
-    report_ = std::move(state.report());
+    report_ = state.report();
     collected_ = true;
     return *referee_;
   }

@@ -14,31 +14,37 @@ obs::Counter& replayed_counter() {
   return c;
 }
 
-// Replays one record through the CollectState acceptance path, updating
-// `result`. The frame bytes are copied into the winner slot on acceptance.
+// Replays one record through the ledger and classifies it in `result`. An
+// accepted frame's bytes go to the site's winner slot. Q is a corrupt
+// record (it sliced structurally but fails frame validation); D, S and R
+// are superseded by a frame already replayed — possible when a snapshot
+// overlaps segment tails, or when a later-replayed full frame re-based the
+// chain a delta extended.
 void replay_record(CollectState& state, std::optional<PayloadKind> delta_kind,
                    std::span<const std::uint8_t> frame_bytes,
                    RecoveryResult& result) {
-  // ingest() never throws: the frame either fails validation (quarantined —
-  // a corrupt record that still sliced structurally) or loses replay
-  // arbitration (duplicate/stale/resync — superseded by a frame already
-  // replayed, possible when snapshots overlap segment tails). Callers diff
-  // the report's counters to classify.
-  auto accepted = state.ingest(frame_bytes);
-  if (!accepted) return;
-  auto& slot = result.sites[accepted->site];
-  if (delta_kind.has_value() && accepted->kind == *delta_kind && slot.has_value()) {
-    // ingest() only extends an intact chain, so the site's full frame is
-    // already in the slot; the delta stacks on top of it in log order.
-    slot->deltas.emplace_back(frame_bytes.begin(), frame_bytes.end());
-    slot->epoch = accepted->epoch;
-  } else {
-    slot = RecoveredSite{accepted->epoch,
-                         {frame_bytes.begin(), frame_bytes.end()},
-                         {}};
+  const Verdict verdict = state.admit(frame_bytes, [&](const Frame& frame) {
+    auto& slot = result.sites[frame.header.site];
+    if (delta_kind.has_value() && frame.header.kind == *delta_kind) {
+      // The ledger only accepts a delta onto an intact chain, so the site's
+      // full frame is already in the slot; the delta stacks on top of it.
+      slot->deltas.emplace_back(frame_bytes.begin(), frame_bytes.end());
+      slot->epoch = frame.header.epoch;
+    } else {
+      slot = RecoveredSite{frame.header.epoch, {frame_bytes.begin(), frame_bytes.end()}, {}};
+    }
+    return true;
+  });
+  switch (verdict) {
+    case Verdict::kAccepted:
+      result.frames_replayed += 1;
+      replayed_counter().add(1);
+      break;
+    case Verdict::kQuarantined: result.frames_corrupt += 1; break;
+    case Verdict::kDuplicate:
+    case Verdict::kStale:
+    case Verdict::kResync: result.frames_superseded += 1; break;
   }
-  result.frames_replayed += 1;
-  replayed_counter().add(1);
 }
 
 }  // namespace
@@ -76,8 +82,8 @@ RecoveryResult recover_referee_state(const RecoveryOptions& options) {
   RecoveryResult result;
   result.sites.resize(options.sites);
 
-  // One replay CollectState carries the dedup semantics for snapshot and
-  // tail alike — the "same one-arbiter acceptance path" as live traffic.
+  // One replay ledger carries the dedup semantics for snapshot and tail
+  // alike — the same admit() live frames go through.
   CollectState state(options.sites, options.expected_kind, options.dedup);
   if (options.delta_kind.has_value()) state.enable_deltas(*options.delta_kind);
 
@@ -96,11 +102,7 @@ RecoveryResult recover_referee_state(const RecoveryOptions& options) {
       continue;  // damaged after scan (races only in tests); fall back
     }
     for (const auto& frame : frames) {
-      const auto quarantined_before = state.report().frames_quarantined;
       replay_record(state, options.delta_kind, frame, result);
-      if (state.report().frames_quarantined > quarantined_before) {
-        result.frames_corrupt += 1;
-      }
     }
     result.used_snapshot = true;
     result.snapshot_seq = it->seq;
@@ -127,21 +129,7 @@ RecoveryResult recover_referee_state(const RecoveryOptions& options) {
     }
     SegmentReader reader(seg.path);
     while (auto record = reader.next()) {
-      const auto quarantined_before = state.report().frames_quarantined;
-      // A delta whose chain was re-based by a later-replayed full frame is
-      // superseded state, same as a stale snapshot — its resync counter
-      // folds into the superseded classification.
-      const auto super_before = state.report().duplicates_dropped +
-                                state.report().stale_dropped +
-                                state.report().resyncs;
       replay_record(state, options.delta_kind, *record, result);
-      if (state.report().frames_quarantined > quarantined_before) {
-        result.frames_corrupt += 1;
-      } else if (state.report().duplicates_dropped +
-                     state.report().stale_dropped +
-                     state.report().resyncs > super_before) {
-        result.frames_superseded += 1;
-      }
     }
     if (reader.torn_tail()) {
       result.torn_tails += 1;
@@ -166,7 +154,7 @@ DurableLog::DurableLog(Options options, std::size_t sites,
                       "to resume that run or point --wal-dir at a clean "
                       "directory");
   recovered_.sites.resize(sites);
-  winners_.resize(sites);
+  if (options_.snapshot_every > 0) winners_.resize(sites);
   open_writers(shards, /*start_seq=*/0, /*watermark=*/0);
 }
 
@@ -177,7 +165,7 @@ DurableLog::DurableLog(Options options, std::size_t sites,
       recovered_(std::move(recovered)) {
   USTREAM_REQUIRE(recovered_.sites.size() == sites,
                   "recovered state has a different site count than serve");
-  winners_ = recovered_.sites;
+  if (options_.snapshot_every > 0) winners_ = recovered_.sites;
   next_snapshot_seq_ = recovered_.max_snapshot_seq + 1;
   // New segments start past every existing chain and are stamped covered
   // by nothing (watermark = last snapshot actually used, so they replay
@@ -215,10 +203,13 @@ void DurableLog::log_accepted(std::uint32_t shard, std::uint32_t site,
                               std::span<const std::uint8_t> frame_bytes,
                               bool is_delta) {
   USTREAM_REQUIRE(shard < writers_.size(), "log_accepted: shard out of range");
-  USTREAM_REQUIRE(site < winners_.size(), "log_accepted: site out of range");
+  USTREAM_REQUIRE(site < recovered_.sites.size(), "log_accepted: site out of range");
   WalWriter& writer = *writers_[shard];
   writer.append(frame_bytes);
   writer.commit();
+  records_logged_ += 1;
+  // Only a snapshot reads the winners; without one nothing is retained.
+  if (options_.snapshot_every == 0) return;
   if (is_delta) {
     USTREAM_REQUIRE(winners_[site].has_value(),
                     "delta logged for a site with no full frame on record");
@@ -229,16 +220,32 @@ void DurableLog::log_accepted(std::uint32_t shard, std::uint32_t site,
                                    {frame_bytes.begin(), frame_bytes.end()},
                                    {}};
   }
-  records_logged_ += 1;
   accepted_since_snapshot_ += 1;
   maybe_snapshot();
 }
 
-void DurableLog::maybe_snapshot() {
-  if (options_.snapshot_every == 0 ||
-      accepted_since_snapshot_ < options_.snapshot_every) {
-    return;
+void DurableLog::release_recovered_frames() noexcept {
+  for (auto& site : recovered_.sites) {
+    if (!site.has_value()) continue;
+    site->frame = {};
+    site->deltas = {};
   }
+}
+
+std::uint64_t DurableLog::retained_bytes() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto* sites : {&recovered_.sites, &winners_}) {
+    for (const auto& site : *sites) {
+      if (!site.has_value()) continue;
+      total += site->frame.size();
+      for (const auto& delta : site->deltas) total += delta.size();
+    }
+  }
+  return total;
+}
+
+void DurableLog::maybe_snapshot() {
+  if (accepted_since_snapshot_ < options_.snapshot_every) return;
   std::vector<std::vector<std::uint8_t>> frames;
   frames.reserve(winners_.size());
   for (const auto& winner : winners_) {

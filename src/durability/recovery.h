@@ -3,12 +3,15 @@
 // Recovery rebuilds the arbiter's acceptance state from the durable
 // artifacts in a WAL dir: the newest valid snapshot (a compacted WAL,
 // snapshot.h) plus every WAL segment the snapshot does not cover, replayed
-// through a fresh CollectState — the SAME acceptance path live frames take,
-// so exactly-once / latest-wins semantics are preserved by construction.
-// Replay order across per-shard segment files is irrelevant: only
-// arbitration winners were ever logged, so under exactly-once each site
-// appears at most once globally, and under latest-wins replay is a
-// max-over-epochs merge — both order-independent.
+// through a fresh CollectState::admit — the SAME acceptance path live
+// frames take, so exactly-once / latest-wins semantics are preserved by
+// construction. Segments replay in (shard, seq) order. For full frames the
+// order across shards is irrelevant: only accepted frames were ever
+// logged, so under exactly-once each site appears at most once globally,
+// and under latest-wins replay is a max-over-epochs merge. A delta is
+// accepted only on the shard that accepted its chain head (the ledger's
+// head-shard rule), so it is logged in the same shard's segments as its
+// base, after it, and replays after it.
 //
 // What "byte-identical resume" means: the recovered referee holds, for
 // every site that was acked before the crash, the exact frame bytes that
@@ -40,8 +43,8 @@ namespace ustream::durability {
 // last full frame plus every delta accepted on top of it, in log order
 // (`epoch` is then the chain head — the last delta's epoch). Replaying
 // frame-then-deltas through the same sink path reproduces the pre-crash
-// mirror; snapshots flatten the chain in that order so a recovery from
-// snapshot rebuilds it identically.
+// mirror; a snapshot writes the full frame and then every delta, in that
+// order, so a recovery from snapshot rebuilds it identically.
 struct RecoveredSite {
   std::uint32_t epoch = 0;
   std::vector<std::uint8_t> frame;
@@ -51,9 +54,9 @@ struct RecoveredSite {
 struct RecoveryResult {
   // site -> recovered acceptance (nullopt = site had not reported).
   std::vector<std::optional<RecoveredSite>> sites;
-  std::uint64_t frames_replayed = 0;   // accepted by the replay CollectState
-  std::uint64_t frames_superseded = 0; // valid but lost replay arbitration
-  std::uint64_t frames_corrupt = 0;    // failed frame CRC/validation
+  std::uint64_t frames_replayed = 0;   // verdict A from the replay ledger
+  std::uint64_t frames_superseded = 0; // verdict D, S or R: a newer state won
+  std::uint64_t frames_corrupt = 0;    // verdict Q: failed frame CRC/validation
   std::uint64_t segments_replayed = 0;
   std::uint64_t segments_skipped = 0;  // covered by the loaded snapshot
   std::uint64_t torn_tails = 0;        // segments ending in a partial record
@@ -89,7 +92,8 @@ struct RecoveryOptions {
 RecoveryResult recover_referee_state(const RecoveryOptions& options);
 
 // The referee's durability coordinator: per-shard WalWriters, the set of
-// winning frames (for snapshots), and the snapshot trigger. All methods
+// winning frames (kept only when snapshots are on), and the snapshot
+// trigger. All methods
 // are called under the referee's cross-shard arbiter mutex — the mutex
 // that already serializes acceptance is what makes "log in acceptance
 // order" free — so DurableLog itself takes no locks.
@@ -130,6 +134,12 @@ class DurableLog {
   void sync_all();
 
   const RecoveryResult& recovered() const noexcept { return recovered_; }
+  // Drops the recovered frame bytes once the referee has replayed them
+  // into its sink; the per-site epochs and every count stay.
+  void release_recovered_frames() noexcept;
+  // Frame bytes held in memory: the recovered chains until released, plus
+  // the winners a snapshot would write — none when snapshot_every is 0.
+  std::uint64_t retained_bytes() const noexcept;
   std::uint64_t run_id() const noexcept { return run_id_; }
   std::uint64_t records_logged() const noexcept { return records_logged_; }
   std::uint64_t bytes_logged() const noexcept;
@@ -145,7 +155,8 @@ class DurableLog {
   std::uint64_t run_id_ = 0;
   RecoveryResult recovered_;
   std::vector<std::unique_ptr<WalWriter>> writers_;  // one per shard
-  // site -> current winning frame (what a snapshot serializes).
+  // site -> current winning chain (what a snapshot serializes); empty
+  // when snapshot_every is 0, since nothing else reads it.
   std::vector<std::optional<RecoveredSite>> winners_;
   std::uint32_t next_snapshot_seq_ = 1;
   std::uint64_t accepted_since_snapshot_ = 0;

@@ -17,6 +17,18 @@
 
 namespace ustream::net {
 
+// A verdict is its own ack byte.
+static_assert(static_cast<std::uint8_t>(Verdict::kAccepted) ==
+              static_cast<std::uint8_t>(PushAck::kAccepted));
+static_assert(static_cast<std::uint8_t>(Verdict::kDuplicate) ==
+              static_cast<std::uint8_t>(PushAck::kDuplicate));
+static_assert(static_cast<std::uint8_t>(Verdict::kStale) ==
+              static_cast<std::uint8_t>(PushAck::kStale));
+static_assert(static_cast<std::uint8_t>(Verdict::kQuarantined) ==
+              static_cast<std::uint8_t>(PushAck::kQuarantined));
+static_assert(static_cast<std::uint8_t>(Verdict::kResync) ==
+              static_cast<std::uint8_t>(PushAck::kResync));
+
 namespace {
 
 // Little-endian u32 without alignment assumptions.
@@ -54,23 +66,22 @@ struct RefereeServer::Conn {
   std::list<Conn>::iterator self;
 };
 
-// Cross-shard arbiter: the one piece of state every shard shares. A slot
-// holds 0 while no shard has accepted a frame for the site, else the
-// winning epoch + 1. A shard that locally accepts a frame must also win
-// here (under `mu`) before the payload reaches the sink; losing demotes
-// the local acceptance to the duplicate/stale verdict a single sequential
-// referee would have issued, which is what keeps the merge_reports() fold
-// of the shard ledgers identical to the sequential ledger.
+// The one piece of state every shard shares: the acceptance ledger and the
+// sink, both behind `mu`. Each frame takes `mu` once, so the ledger sees
+// frames in one global order and its verdicts are the ones a single loop
+// over that order would give.
 struct RefereeServer::Shared {
-  Shared(std::size_t sites, DedupMode mode, bool continuous, const PayloadSink& sink)
-      : mode(mode), continuous(continuous), sink(sink), slots(sites, 0) {}
+  Shared(const RefereeServerConfig& config, const PayloadSink& payload_sink)
+      : continuous(config.continuous),
+        sink(payload_sink),
+        ledger(config.sites, config.expected_kind, config.dedup) {
+    if (config.delta_kind.has_value()) ledger.enable_deltas(*config.delta_kind);
+  }
 
-  const DedupMode mode;
   const bool continuous;  // never declare completion; run to deadline/stop
   const PayloadSink& sink;
   std::mutex mu;
-  std::vector<std::uint64_t> slots;  // guarded by mu; 0 = unclaimed
-  std::size_t reported = 0;          // guarded by mu; sites with a claimed slot
+  CollectState ledger;  // guarded by mu
   std::atomic<bool> complete{false};
 };
 
@@ -134,9 +145,9 @@ struct RefereeMetrics {
 
 // One worker: an EventLoop over this shard's acceptor, its share of the
 // site connections (whichever ones the kernel's SO_REUSEPORT hash routed
-// here), its own CollectState ledger and wire stats, and — on shard 0
-// only — the admin listener. No state is shared with other shards except
-// RefereeServer::Shared, touched once per locally-accepted frame.
+// here), its own wire stats and metrics, and — on shard 0 only — the admin
+// listener. No state is shared with other shards except
+// RefereeServer::Shared, touched once per frame.
 class RefereeServer::Shard {
  public:
   Shard(RefereeServer& server, std::size_t index, Shared& shared,
@@ -148,18 +159,9 @@ class RefereeServer::Shard {
         deadline_(deadline),
         has_deadline_(has_deadline),
         loop_(config_.backend),
-        state_(config_.sites, config_.expected_kind, config_.dedup),
         metrics_(config_.shards > 1 ? "shard=\"" + std::to_string(index) + "\""
                                     : std::string{}) {
-    if (config_.delta_kind.has_value()) state_.enable_deltas(*config_.delta_kind);
     wire_.bytes_per_site.assign(config_.sites, 0);
-  }
-
-  // Transplants one recovered acceptance into this shard's ledger (called
-  // on shard 0 before the loops start, so the merged report shows the
-  // recovered sites as reported — see RefereeServer::run).
-  void preload(std::size_t site, std::uint32_t epoch, std::uint16_t group) {
-    state_.restore_accepted(site, epoch, group);
   }
 
   void run() {
@@ -221,15 +223,9 @@ class RefereeServer::Shard {
     // settle it for ones still alive at exit so a later collection starts
     // from zero.
     metrics_.connections_open.sub(static_cast<std::int64_t>(conns_.size()));
-
-    // Exhaustion is a CLIENT-side budget; the server cannot know it, so it
-    // never marks sites exhausted — missing sites are reported plain.
-    state_.finalize(std::numeric_limits<std::uint32_t>::max());
-    report = std::move(state_.report());
     wire = std::move(wire_);
   }
 
-  CollectReport report;
   ChannelStats wire;
   bool timed_out = false;
 
@@ -414,12 +410,11 @@ class RefereeServer::Shard {
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
       if (n < 0 && errno == EINTR) continue;
       // EOF or hard error. Bytes stranded mid-frame are a truncated
-      // transmission — a killed site. Feeding them to ingest() quarantines
-      // them through the same frame-layer verdict as a truncating
-      // FaultyChannel delivery.
+      // transmission — a killed site. They can never decode, so the ledger
+      // quarantines them, the same verdict a truncating FaultyChannel
+      // delivery gets.
       if (conn.expected.has_value() || !conn.in.empty()) {
-        state_.ingest(std::span<const std::uint8_t>(conn.in));
-        metrics_.frames_quarantined.add(1);  // truncated transmission
+        quarantine();
         conn.in.clear();
       }
       conn.closed = true;
@@ -439,8 +434,7 @@ class RefereeServer::Shard {
         if (len > config_.max_frame_bytes) {
           // Not a reassembly state we can recover from: the stream is
           // desynchronized. Count it and drop the connection.
-          state_.report().frames_quarantined += 1;
-          metrics_.frames_quarantined.add(1);
+          quarantine();
           conn.closed = true;
           conn.in.clear();
           if (!conn.out.empty()) {
@@ -471,139 +465,81 @@ class RefereeServer::Shard {
     }
     // Attribute the transmission to its claimed site (header peek; the
     // claim is only trusted for ACCOUNTING — acceptance still goes through
-    // the full CRC validation in ingest). Every observed frame for a site
+    // the full CRC validation in decode). Every observed frame for a site
     // is a real attempt on its behalf: first one a send, later ones
     // retransmissions, mirroring the in-process collector's record_send.
-    // The pre-ingest per-site state is captured here because a losing
-    // arbiter round has to restore it (demote_accepted); an accepted frame
-    // always took this path — same bytes, same site field.
-    std::uint32_t prev_epoch = 0;
-    bool prev_reported = false;
-    std::uint16_t prev_group = 0;
+    std::optional<std::size_t> claimed;
     if (frame_bytes.size() >= kFrameHeaderBytes && looks_like_frame(frame_bytes)) {
       const std::uint32_t site = read_u32le(frame_bytes.data() + 8);
       if (site < config_.sites) {
         wire_.bytes_per_site[site] += frame_bytes.size();
-        state_.record_send(site);
-        prev_reported = state_.site_reported(site);
-        prev_epoch = state_.report().per_site[site].accepted_epoch;
-        prev_group = state_.report().per_site[site].group;
+        claimed = site;
       }
     }
-
-    const CollectReport& before = state_.report();
-    const std::uint64_t dup0 = before.duplicates_dropped;
-    const std::uint64_t stale0 = before.stale_dropped;
-    const std::uint64_t resync0 = before.resyncs;
-    auto accepted = state_.ingest(frame_bytes);
-    const bool was_delta = accepted.has_value() && config_.delta_kind.has_value() &&
-                           accepted->kind == *config_.delta_kind;
-    PushAck ack = PushAck::kQuarantined;
-    if (accepted) {
-      ack = arbitrate(*accepted, prev_epoch, prev_reported, prev_group, frame_bytes);
-    } else if (state_.report().duplicates_dropped > dup0) {
-      ack = PushAck::kDuplicate;
-    } else if (state_.report().stale_dropped > stale0) {
-      ack = PushAck::kStale;
-    } else if (state_.report().resyncs > resync0) {
-      // Delta with a broken chain (gap / unreported site): tell the site to
-      // re-base with a full frame.
-      ack = PushAck::kResync;
-    }
-    switch (ack) {
-      case PushAck::kAccepted:
-        metrics_.frames_accepted.add(1);
-        if (was_delta) metrics_.frames_delta.add(1);
-        break;
-      case PushAck::kDuplicate: metrics_.frames_duplicate.add(1); break;
-      case PushAck::kStale: metrics_.frames_stale.add(1); break;
-      case PushAck::kQuarantined: metrics_.frames_quarantined.add(1); break;
-      case PushAck::kResync: metrics_.frames_resync.add(1); break;
-    }
+    // CRC and header checks run outside the arbiter lock.
+    std::optional<Frame> frame = CollectState::decode(frame_bytes);
+    const bool delta = frame.has_value() && config_.delta_kind.has_value() &&
+                       frame->header.kind == *config_.delta_kind;
+    const Verdict verdict = arbitrate(claimed, frame, delta, frame_bytes);
+    count(verdict, delta);
     if (conn.out.empty()) flushing_ += 1;
-    conn.out.push_back(static_cast<std::uint8_t>(ack));
+    conn.out.push_back(static_cast<std::uint8_t>(verdict));
     flush(conn);  // usually completes inline; kWrite interest covers the rest
   }
 
-  // A frame this shard's CollectState accepted must also win the global
-  // (site, epoch) claim. Holding the mutex across the sink keeps sink
-  // calls serialized in global acceptance order, so a vector-slot sink
-  // observes exactly the writes a sequential referee would have made —
-  // and, when durability is on, the WAL append rides the same critical
+  // The one critical section per frame: attempt accounting, the ledger's
+  // verdict, the sink, the WAL and the completion check. Holding the mutex
+  // across the sink keeps sink calls serialized in global acceptance
+  // order, so a vector-slot sink observes exactly the writes a sequential
+  // referee would have made — and the WAL append rides the same critical
   // section, so the log order IS the acceptance order for free.
-  PushAck arbitrate(CollectState::Accepted& acc, std::uint32_t prev_epoch,
-                    bool prev_reported, std::uint16_t prev_group,
-                    std::span<const std::uint8_t> frame_bytes) {
-    const std::size_t site = acc.site;
-    const std::uint64_t want = static_cast<std::uint64_t>(acc.epoch) + 1;
+  Verdict arbitrate(std::optional<std::size_t> claimed, std::optional<Frame>& frame,
+                    bool delta, std::span<const std::uint8_t> frame_bytes) {
     std::lock_guard<std::mutex> lock(shared_.mu);
-    std::uint64_t& slot = shared_.slots[site];
-    if (config_.delta_kind.has_value() && acc.kind == *config_.delta_kind) {
-      // A delta extends the GLOBAL chain iff the winning epoch is exactly
-      // its predecessor (slot stores epoch + 1, so slot == acc.epoch; the
-      // slot != 0 guard keeps an epoch-0-claiming delta from binding to an
-      // unreported site). Any other slot state means another shard moved
-      // the chain, or nothing is based yet — either way the local
-      // acceptance demotes to the resync verdict a sequential referee
-      // would have issued, and the site re-bases with a full frame.
-      if (slot == 0 || slot != acc.epoch) {
-        state_.demote_delta(site, prev_epoch);
-        return PushAck::kResync;
-      }
-      if (!shared_.sink(site, acc.epoch, acc.group, acc.kind, std::move(acc.payload))) {
-        // The delta did not apply (mirror mismatch / corrupt payload with a
-        // colliding CRC). Retransmission cannot help; demand a full frame.
-        state_.demote_delta(site, prev_epoch);
-        return PushAck::kResync;
-      }
+    CollectState& ledger = shared_.ledger;
+    if (claimed.has_value()) ledger.record_send(*claimed);
+    if (!frame.has_value()) return ledger.quarantine();
+    const auto sink = [this, delta, frame_bytes](Frame& f) {
+      const FrameHeader& h = f.header;
+      if (!shared_.sink(h.site, h.epoch, h.group, h.kind, std::move(f.payload))) return false;
       if (server_.durable_ != nullptr) {
-        server_.durable_->log_accepted(static_cast<std::uint32_t>(index_),
-                                       static_cast<std::uint32_t>(site), acc.epoch,
-                                       frame_bytes, /*is_delta=*/true);
+        // Log + commit (write to the kernel, fsync per policy) before the
+        // ack byte can be queued: an acked frame is always recoverable
+        // after kill -9. A crash between sink and here loses nothing — the
+        // site never saw an ack, so it retries after the restart.
+        server_.durable_->log_accepted(static_cast<std::uint32_t>(index_), h.site, h.epoch,
+                                       frame_bytes, delta);
       }
-      slot = want;
-      return PushAck::kAccepted;
+      return true;
+    };
+    const Verdict verdict = ledger.admit(*frame, sink, static_cast<std::uint32_t>(index_));
+    if (verdict == Verdict::kAccepted && !shared_.continuous && ledger.all_reported() &&
+        !shared_.complete.load(std::memory_order_relaxed)) {
+      shared_.complete.store(true, std::memory_order_release);
+      server_.notify_all();  // every shard re-checks and winds down
     }
-    bool wins = false;
-    bool stale = false;
-    if (slot == 0) {
-      wins = true;  // first acceptance anywhere — same verdict as sequential
-    } else if (shared_.mode == DedupMode::kLatestWins && want > slot) {
-      wins = true;
-    } else if (shared_.mode == DedupMode::kLatestWins && want < slot) {
-      stale = true;
+    return verdict;
+  }
+
+  void quarantine() {
+    {
+      std::lock_guard<std::mutex> lock(shared_.mu);
+      shared_.ledger.quarantine();
     }
-    if (!wins) {
-      state_.demote_accepted(site, prev_epoch, prev_reported, stale, prev_group);
-      return stale ? PushAck::kStale : PushAck::kDuplicate;
+    count(Verdict::kQuarantined, false);
+  }
+
+  void count(Verdict verdict, bool delta) {
+    switch (verdict) {
+      case Verdict::kAccepted:
+        metrics_.frames_accepted.add(1);
+        if (delta) metrics_.frames_delta.add(1);
+        break;
+      case Verdict::kDuplicate: metrics_.frames_duplicate.add(1); break;
+      case Verdict::kStale: metrics_.frames_stale.add(1); break;
+      case Verdict::kQuarantined: metrics_.frames_quarantined.add(1); break;
+      case Verdict::kResync: metrics_.frames_resync.add(1); break;
     }
-    if (!shared_.sink(site, acc.epoch, acc.group, acc.kind, std::move(acc.payload))) {
-      // CRC collision: reopen + quarantine locally. The slot keeps its
-      // previous value — if an older snapshot had already been delivered,
-      // the sink still holds it, and the retransmit the 'Q' ack provokes
-      // will beat it again through the normal latest-wins path.
-      state_.reject_accepted(site);
-      return PushAck::kQuarantined;
-    }
-    if (server_.durable_ != nullptr) {
-      // Log + commit (write to the kernel, fsync per policy) before the
-      // ack byte can be queued: an acked frame is always recoverable
-      // after kill -9. A crash between sink and here loses nothing — the
-      // site never saw an ack, so it retries after the restart.
-      server_.durable_->log_accepted(static_cast<std::uint32_t>(index_),
-                                     static_cast<std::uint32_t>(site),
-                                     acc.epoch, frame_bytes);
-    }
-    const bool first = slot == 0;
-    slot = want;
-    if (first) {
-      shared_.reported += 1;
-      if (shared_.reported == shared_.slots.size() && !shared_.continuous) {
-        shared_.complete.store(true, std::memory_order_release);
-        server_.notify_all();  // every shard re-checks and winds down
-      }
-    }
-    return PushAck::kAccepted;
   }
 
   RefereeServer& server_;
@@ -613,7 +549,6 @@ class RefereeServer::Shard {
   const std::chrono::steady_clock::time_point deadline_;
   const bool has_deadline_;
   EventLoop loop_;
-  CollectState state_;
   ChannelStats wire_;
   std::list<Conn> conns_;
   std::list<AdminConn> admin_conns_;
@@ -681,7 +616,7 @@ RefereeServer::RefereeServer(RefereeServerConfig config) : config_(std::move(con
 RefereeServer::Result RefereeServer::run(const PayloadSink& sink) {
   const bool has_deadline = config_.timeout.count() > 0;
   const auto deadline = std::chrono::steady_clock::now() + config_.timeout;
-  Shared shared(config_.sites, config_.dedup, config_.continuous, sink);
+  Shared shared(config_, sink);
 
   std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(config_.shards);
@@ -690,12 +625,11 @@ RefereeServer::Result RefereeServer::run(const PayloadSink& sink) {
   }
 
   // Recovered sites are preloaded before any loop starts: their payloads
-  // reach the sink (same order-independent per-site slots), their arbiter
-  // slots are claimed so re-pushes after the restart dedup exactly as
-  // live duplicates would, and shard 0's ledger carries their reported
-  // status into the merge_reports() fold. A site whose replayed payload
-  // fails the sink (CRC-collision-grade corruption) is simply left
-  // unclaimed — its pusher retries and re-collects it live.
+  // reach the sink, and the ledger marks them reported with their head on
+  // shard 0, so re-pushes after the restart dedup exactly as live
+  // duplicates would. A site whose replayed payload fails the sink
+  // (CRC-collision-grade corruption) is simply left unreported — its
+  // pusher retries and re-collects it live.
   if (durable_ != nullptr) {
     const durability::RecoveryResult& rec = durable_->recovered();
     for (std::size_t site = 0; site < rec.sites.size(); ++site) {
@@ -720,11 +654,10 @@ RefereeServer::Result RefereeServer::run(const PayloadSink& sink) {
         head = delta.header.epoch;
         head_group = delta.header.group;
       }
-      shared.slots[site] = static_cast<std::uint64_t>(head) + 1;
-      shared.reported += 1;
-      shards[0]->preload(site, head, head_group);
+      shared.ledger.restore_accepted(site, head, head_group);
     }
-    if (shared.reported == shared.slots.size() && !shared.continuous) {
+    durable_->release_recovered_frames();
+    if (shared.ledger.all_reported() && !shared.continuous) {
       shared.complete.store(true, std::memory_order_release);
     }
   }
@@ -758,24 +691,26 @@ RefereeServer::Result RefereeServer::run(const PayloadSink& sink) {
     if (e) std::rethrow_exception(e);
   }
 
+  // Exhaustion is a CLIENT-side budget; the server cannot know it, so it
+  // never marks sites exhausted — missing sites are reported plain.
+  shared.ledger.finalize(std::numeric_limits<std::uint32_t>::max());
   Result res;
-  std::vector<CollectReport> parts;
-  parts.reserve(config_.shards);
+  res.report = shared.ledger.report();
   bool any_timed_out = false;
   res.wire.bytes_per_site.assign(config_.sites, 0);
-  for (auto& shard : shards) {
-    parts.push_back(shard->report);
-    any_timed_out = any_timed_out || shard->timed_out;
-    res.wire.messages += shard->wire.messages;
-    res.wire.total_bytes += shard->wire.total_bytes;
+  for (std::size_t k = 0; k < shards.size(); ++k) {
+    Shard& shard = *shards[k];
+    any_timed_out = any_timed_out || shard.timed_out;
+    res.wire.messages += shard.wire.messages;
+    res.wire.total_bytes += shard.wire.total_bytes;
     res.wire.max_message_bytes =
-        std::max(res.wire.max_message_bytes, shard->wire.max_message_bytes);
+        std::max(res.wire.max_message_bytes, shard.wire.max_message_bytes);
     for (std::size_t s = 0; s < config_.sites; ++s) {
-      res.wire.bytes_per_site[s] += shard->wire.bytes_per_site[s];
+      res.wire.bytes_per_site[s] += shard.wire.bytes_per_site[s];
     }
-    res.shards.push_back(ShardObservation{std::move(shard->report), std::move(shard->wire)});
+    res.shards.push_back(ShardObservation{
+        shared.ledger.shard_view(static_cast<std::uint32_t>(k)), std::move(shard.wire)});
   }
-  res.report = merge_reports(parts);
   res.timed_out = any_timed_out && !res.report.complete();
   if (durable_ != nullptr) {
     durable_->sync_all();  // clean shutdown: everything logged is on disk

@@ -2,27 +2,22 @@
 // sockets: a sharded collection plane of event loops (EventLoop: epoll on
 // Linux, poll fallback) that accepts site connections, reassembles
 // length-delimited version-1 CRC frames from partial reads, and routes
-// every complete frame through the SAME CollectState machinery (dedup,
-// epoch latest-wins, quarantine) the in-process referee uses, so the
-// frame-layer semantics over TCP are identical to Channel/FaultyChannel by
-// construction.
+// every complete frame through the SAME CollectState ledger (dedup, epoch
+// latest-wins, quarantine, one verdict per frame) the in-process referee
+// uses, so the frame-layer semantics over TCP are identical to
+// Channel/FaultyChannel by construction.
 //
 // Sharding (DESIGN.md §10): `shards = N` runs N worker event loops, each
 // with its own SO_REUSEPORT acceptor on the same port (the kernel
-// load-balances incoming connections), its own CollectState ledger, its
-// own wire stats and its own `shard="k"`-labeled metrics. Correctness
-// across shards rests on two pieces:
-//
-//   * a shared per-site arbiter (one short mutex acquisition per ACCEPTED
-//     frame — never per byte): a frame that passes a shard's local
-//     validation must also win the global (site, epoch) claim, else the
-//     shard demotes its local acceptance to the duplicate/stale verdict a
-//     single sequential loop would have issued;
-//   * a deterministic fold at finish: per-shard ledgers merge through
-//     merge_reports() and the accepted per-site payloads (global slots,
-//     arbiter-ordered) reduce through the parallel MergeEngine in site
-//     order — byte-identical to the single-loop referee on the same
-//     frame set.
+// load-balances incoming connections), its own wire stats and its own
+// `shard="k"`-labeled metrics. All shards share ONE ledger behind one
+// mutex, taken once per frame: attempt accounting, the verdict, the sink
+// and the WAL commit happen there, so verdicts are those of a single loop
+// over the global frame order. The one shard-visible rule is that a delta
+// is accepted only on the shard that accepted its site's chain head (see
+// CollectState::admit). At finish the accepted per-site payloads reduce
+// through the parallel MergeEngine in site order — byte-identical to the
+// single-loop referee on the same frame set.
 //
 // Event-loop states per connection (DESIGN.md §8):
 //
@@ -31,7 +26,7 @@
 //        +--------------------------------------------+
 //
 // A connection that closes mid-frame is a truncated transmission: the
-// partial bytes are fed to CollectState::ingest, which quarantines them —
+// ledger quarantines the partial bytes —
 // a killed site shows up in the CollectReport exactly like a truncating
 // FaultyChannel, and the final estimate keeps the degraded-lower-bound
 // semantics of DESIGN.md §6.3.
@@ -73,8 +68,8 @@ struct RefereeServerConfig {
 
   // Continuous-mode delta protocol (DESIGN.md §12). When set, frames of
   // this kind are accepted iff they extend the site's epoch chain exactly
-  // (accepted_epoch + 1, globally arbitrated); anything else earns the 'R'
-  // resync ack that tells the site to re-base with a full frame of
+  // (accepted_epoch + 1, on the shard that accepted the chain head);
+  // anything else earns the 'R' resync ack that tells the site to re-base with a full frame of
   // expected_kind. Requires kLatestWins. The sink receives each accepted
   // payload with its kind, so it can apply deltas onto its per-site mirror
   // instead of replacing it.
@@ -122,13 +117,13 @@ struct RefereeServerConfig {
   // become a one-line "error: ..." body with a 400 status.
   std::function<std::string(const std::string& expr, bool json)> query_handler;
 
-  // Durability (DESIGN.md §11): when set, every frame that wins arbitration
-  // is appended to a per-shard WAL under `dir` and committed (write + fsync
-  // per policy) BEFORE its ack byte is queued, so a kill -9'd referee can
-  // resume with `recover = true`: the dir is replayed through the same
-  // CollectState acceptance path and the server starts with every
-  // previously-acked site already claimed in the arbiter — re-pushes dedup
-  // against recovered state exactly as they would against live state.
+  // Durability (DESIGN.md §11): when set, every accepted frame is appended
+  // to a per-shard WAL under `dir` and committed (write + fsync per policy)
+  // BEFORE its ack byte is queued, so a kill -9'd referee can resume with
+  // `recover = true`: the dir is replayed through the same CollectState
+  // acceptance path and the server starts with every previously-acked site
+  // already reported in its ledger — re-pushes dedup against recovered
+  // state exactly as they would against live state.
   struct Durability {
     std::string dir;
     durability::FsyncPolicy fsync = durability::FsyncPolicy::kInterval;
@@ -157,11 +152,10 @@ class RefereeServer {
   // Consumes an accepted payload. Returns false when the sink refuses it:
   // the payload fails to deserialize despite its CRC matching (the 2^-32
   // collision case), or the sketch cannot merge with the ones the sink
-  // already holds. The frame is then quarantined and the site reopened,
-  // and the client sees a 'Q' ack telling it to retransmit — except for a
-  // delta payload, whose failure demotes the acceptance to a resync ('R'):
-  // retransmitting a delta that cannot apply is useless, the site owes a
-  // full frame. `kind` is the frame's PayloadKind (config.expected_kind,
+  // already holds. The ledger then records 'Q' for a full frame, telling
+  // the client to retransmit, or 'R' for a delta — retransmitting a delta
+  // that cannot apply is useless, the site owes a full frame — and leaves
+  // the site's entry as it was. `kind` is the frame's PayloadKind (config.expected_kind,
   // or config.delta_kind for chain deltas); `group` is the frame's group
   // tag (0 = ungrouped), so a grouped sink can keep per-tenant stores
   // apart. In a sharded server the sink is invoked under the shared
@@ -171,8 +165,10 @@ class RefereeServer {
                                          std::uint16_t group, PayloadKind kind,
                                          std::vector<std::uint8_t>&& payload)>;
 
-  // One shard's view of the collection — the fold inputs, kept visible so
-  // tests and the CLI can show where frames landed.
+  // One shard's view of the collection, kept visible so tests and the CLI
+  // can show where frames landed: `report` holds the sites whose head this
+  // shard accepted (per_site and sites_reported only; counters are the
+  // ledger's, in Result.report).
   struct ShardObservation {
     CollectReport report;
     ChannelStats wire;
@@ -192,7 +188,7 @@ class RefereeServer {
   };
 
   struct Result {
-    CollectReport report;  // merge_reports() fold of the shard ledgers
+    CollectReport report;  // the one ledger every shard admitted frames to
     ChannelStats wire;     // complete frames observed on the wire, per site
     bool timed_out = false;  // deadline expired before every site reported
     std::vector<ShardObservation> shards;  // size == config.shards

@@ -44,7 +44,8 @@ enum class PushAck : std::uint8_t {
   kStale = 'S',
   kQuarantined = 'Q',
   // Continuous mode only: the delta frame did not extend the site's chain
-  // (gap, unreported site, or the referee demoted it). NOT retried by
+  // (gap, unreported site, another shard holds the chain, or the sink
+  // could not apply it). NOT retried by
   // send_with_ack — retransmitting the same delta cannot help; the caller
   // must re-base with a full frame at the next epoch.
   kResync = 'R',

@@ -171,6 +171,59 @@ TEST(Continuous, FlushRetriesThroughHeavyDrops) {
   for (auto lag : faulty.staleness()) EXPECT_EQ(lag, 0u);
 }
 
+// Re-encodes the first send of each new epoch from site 0, for frames of
+// `kind`, with a payload no sketch decodes under a valid CRC: the ledger
+// accepts the frame and only the referee's sink can refuse it.
+class GarblingTransport : public Transport {
+ public:
+  GarblingTransport(std::size_t sites, PayloadKind kind) : inner_(sites), kind_(kind) {}
+
+  void send(std::size_t from_site, std::vector<std::uint8_t> message) override {
+    const Frame frame = frame_decode(message);
+    if (from_site == 0 && frame.header.kind == kind_ && frame.header.epoch > last_epoch_) {
+      last_epoch_ = frame.header.epoch;
+      message = frame_encode(frame.header, std::vector<std::uint8_t>{1, 2, 3});
+      ++garbled_;
+    }
+    inner_.send(from_site, std::move(message));
+  }
+  std::vector<std::vector<std::uint8_t>> drain() override { return inner_.drain(); }
+  ChannelStats stats() const override { return inner_.stats(); }
+  std::size_t num_sites() const noexcept override { return inner_.num_sites(); }
+
+  std::uint64_t garbled() const noexcept { return garbled_; }
+
+ private:
+  Channel inner_;
+  PayloadKind kind_;
+  std::uint32_t last_epoch_ = 0;
+  std::uint64_t garbled_ = 0;
+};
+
+TEST(Continuous, RefusedSnapshotKeepsFlushRetrying) {
+  const auto params = EstimatorParams::for_guarantee(0.2, 0.1, 18);
+  RetryPolicy policy;
+  policy.sleep_on_backoff = false;
+  auto transport = std::make_unique<GarblingTransport>(2, PayloadKind::kF0Estimator);
+  const GarblingTransport& garbler = *transport;
+  ContinuousUnionMonitor mon(2, 1000, params, std::move(transport), policy);
+  ContinuousUnionMonitor clean(2, 1000, params);
+  Xoshiro256 rng(19);
+  for (int i = 0; i < 5000; ++i) {
+    const std::uint64_t label = rng.next();
+    mon.observe(static_cast<std::size_t>(i % 2), label);
+    clean.observe(static_cast<std::size_t>(i % 2), label);
+  }
+  clean.flush();
+  const CollectReport& report = mon.flush();
+  // Every refused snapshot stayed owed: the retry of the last epoch landed.
+  EXPECT_TRUE(report.complete()) << report.summary();
+  EXPECT_EQ(report.per_site[0].accepted_epoch, 3u);
+  EXPECT_EQ(report.frames_quarantined, garbler.garbled());
+  EXPECT_EQ(mon.staleness()[0], 0u);
+  EXPECT_DOUBLE_EQ(mon.estimate(), clean.estimate());
+}
+
 TEST(Continuous, DuplicatedSnapshotsMergeOnce) {
   const auto params = EstimatorParams::for_guarantee(0.1, 0.05, 14);
   ContinuousUnionMonitor noisy(
@@ -414,8 +467,46 @@ TEST(ContinuousDelta, CorruptDeltasQuarantineAndResync) {
   EXPECT_DOUBLE_EQ(mon.estimate(), mon.estimate_full_remerge());
 }
 
+TEST(ContinuousDelta, RefusedDeltaCountsOneResyncAndNoQuarantine) {
+  const auto params = EstimatorParams::for_guarantee(0.2, 0.1, 45);
+  RetryPolicy policy;
+  policy.sleep_on_backoff = false;
+  auto transport = std::make_unique<GarblingTransport>(2, PayloadKind::kF0Delta);
+  const GarblingTransport& garbler = *transport;
+  ContinuousUnionMonitor mon(2, 64, params, std::move(transport), policy, kDeltaOpts);
+  Xoshiro256 rng(46);
+  for (int i = 0; i < 20'000; ++i) mon.observe(static_cast<std::size_t>(i % 2), rng.next());
+  ASSERT_GT(garbler.garbled(), 0u);
+  // The TCP referee's tally: a delta the sink refuses is one resync.
+  EXPECT_EQ(mon.status().resyncs, garbler.garbled());
+  EXPECT_EQ(mon.status().frames_quarantined, 0u);
+  const CollectReport& report = mon.flush();
+  EXPECT_TRUE(report.complete()) << report.summary();
+  EXPECT_DOUBLE_EQ(mon.estimate(), mon.estimate_full_remerge());
+}
+
 // ---------------------------------------------------------------------------
 // Sliding-window continuous protocol (kWindowedDelta op-replay frames).
+
+TEST(ContinuousWindowed, RefusedFullFrameKeepsFlushRetrying) {
+  const auto params = EstimatorParams::for_guarantee(0.2, 0.1, 47);
+  RetryPolicy policy;
+  policy.sleep_on_backoff = false;
+  auto transport = std::make_unique<GarblingTransport>(2, PayloadKind::kWindowedF0);
+  const GarblingTransport& garbler = *transport;
+  ContinuousWindowedMonitor mon(2, 64, params, std::move(transport), policy);
+  Xoshiro256 rng(48);
+  std::uint64_t t = 0;
+  for (int i = 0; i < 4000; ++i) {
+    mon.observe(static_cast<std::size_t>(i % 2), rng.below(3000), t++);
+  }
+  const CollectReport& report = mon.flush();
+  EXPECT_TRUE(report.complete()) << report.summary();
+  EXPECT_EQ(report.frames_quarantined, garbler.garbled());
+  for (std::uint64_t start : {std::uint64_t{0}, t / 2, t}) {
+    EXPECT_DOUBLE_EQ(mon.estimate(start), mon.site_estimate(start)) << start;
+  }
+}
 
 TEST(ContinuousWindowed, MirrorsTrackSitesBitIdentically) {
   const auto params = EstimatorParams::for_guarantee(0.2, 0.1, 41);

@@ -533,187 +533,179 @@ TEST(NetAdmin, QueryEndpointWithoutHandlerReportsDisabled) {
 }
 
 // ---------------------------------------------------------------------------
-// Ledger algebra for the sharded referee: demote_accepted undoes a local
-// acceptance that lost the cross-shard arbitration, and merge_reports folds
-// per-shard ledgers into the sequential-referee report.
+// The acceptance ledger every referee shares: one verdict per frame, a sink
+// refusal that leaves the site's entry as it was, and the head-shard rule
+// for deltas at N shards.
 
-std::vector<std::uint8_t> frame_bytes(std::uint32_t site, std::uint32_t epoch) {
-  return frame_encode({PayloadKind::kF0Estimator, site, epoch},
-                      std::vector<std::uint8_t>{1, 2, 3});
+std::vector<std::uint8_t> frame_bytes(std::uint32_t site, std::uint32_t epoch,
+                                      PayloadKind kind = PayloadKind::kF0Estimator) {
+  return frame_encode({kind, site, epoch}, std::vector<std::uint8_t>{1, 2, 3});
 }
 
-TEST(CollectLedger, DemoteAcceptedRestoresPriorState) {
-  CollectState state(2, PayloadKind::kF0Estimator, DedupMode::kLatestWins);
-
-  // First acceptance lost to another shard: back to unreported, counted as
-  // a duplicate — exactly what a sequential referee whose table already
-  // held the site would have recorded.
-  state.record_send(0);
-  ASSERT_TRUE(state.ingest(frame_bytes(0, 5)).has_value());
-  EXPECT_EQ(state.report().sites_reported, 1u);
-  state.demote_accepted(0, 0, false, /*count_stale=*/false);
-  EXPECT_EQ(state.report().sites_reported, 0u);
-  EXPECT_FALSE(state.site_reported(0));
-  EXPECT_EQ(state.report().duplicates_dropped, 1u);
-  EXPECT_EQ(state.report().per_site[0].accepted_epoch, 0u);
-
-  // A latest-wins replacement lost to a newer global epoch: the site stays
-  // reported at its previous epoch, and the loss counts as stale.
-  state.record_send(1);
-  ASSERT_TRUE(state.ingest(frame_bytes(1, 3)).has_value());
-  state.record_send(1);
-  ASSERT_TRUE(state.ingest(frame_bytes(1, 7)).has_value());
-  EXPECT_EQ(state.report().per_site[1].accepted_epoch, 7u);
-  state.demote_accepted(1, 3, /*previously_reported=*/true, /*count_stale=*/true);
-  EXPECT_TRUE(state.site_reported(1));
-  EXPECT_EQ(state.report().sites_reported, 1u);
-  EXPECT_EQ(state.report().per_site[1].accepted_epoch, 3u);
-  EXPECT_EQ(state.report().stale_dropped, 1u);
+// Admits one frame on `shard` with a sink that takes (or refuses) it.
+Verdict admit_on(CollectState& ledger, const std::vector<std::uint8_t>& bytes,
+                 std::uint32_t shard, bool take = true) {
+  Frame frame = frame_decode(bytes);
+  return ledger.admit(frame, [take](Frame&) { return take; }, shard);
 }
 
-TEST(CollectLedger, MergeReportsFoldsShardLedgers) {
-  // Shard A saw site 0 (one attempt, accepted epoch 2) and one garbage
-  // frame; shard B saw a RETRANSMISSION of site 0 (demoted: duplicate) and
-  // site 1 (accepted).
-  CollectReport a;
-  a.sites_total = 2;
-  a.per_site.resize(2);
-  a.per_site[0] = {1, true, false, 2};
-  a.sites_reported = 1;
-  a.frames_quarantined = 1;
-  CollectReport b;
-  b.sites_total = 2;
-  b.per_site.resize(2);
-  b.per_site[0] = {1, false, false, 0};
-  b.per_site[1] = {1, true, false, 0};
-  b.sites_reported = 1;
-  b.duplicates_dropped = 1;
-
-  const CollectReport merged = merge_reports({a, b});
-  EXPECT_EQ(merged.sites_total, 2u);
-  EXPECT_EQ(merged.sites_reported, 2u);
-  EXPECT_TRUE(merged.complete());
-  EXPECT_EQ(merged.frames_quarantined, 1u);
-  EXPECT_EQ(merged.duplicates_dropped, 1u);
-  EXPECT_EQ(merged.per_site[0].attempts, 2u);
-  EXPECT_EQ(merged.per_site[0].accepted_epoch, 2u);
-  // The retransmission landed on a different shard than the original —
-  // each shard alone saw one attempt, but the union saw a retry. This is
-  // what a sequential referee over the same frame stream reports.
-  EXPECT_EQ(merged.retries, 1u);
-  EXPECT_EQ(merged.total_attempts(), 3u);
+TEST(CollectLedger, VerdictsAreTheAckBytes) {
+  CollectState ledger(2, PayloadKind::kF0Estimator, DedupMode::kLatestWins);
+  ledger.enable_deltas(PayloadKind::kF0Delta);
+  const auto ack = [](Verdict v) { return static_cast<PushAck>(v); };
+  EXPECT_EQ(ack(admit_on(ledger, frame_bytes(0, 4), 0)), PushAck::kAccepted);
+  EXPECT_EQ(ack(admit_on(ledger, frame_bytes(0, 4), 0)), PushAck::kDuplicate);
+  EXPECT_EQ(ack(admit_on(ledger, frame_bytes(0, 2), 0)), PushAck::kStale);
+  EXPECT_EQ(ack(ledger.admit(std::vector<std::uint8_t>(64, 0xAB),
+                             [](Frame&) { return true; })),
+            PushAck::kQuarantined);
+  EXPECT_EQ(ack(admit_on(ledger, frame_bytes(1, 1, PayloadKind::kF0Delta), 0)),
+            PushAck::kResync);
+  const CollectReport& report = ledger.report();
+  EXPECT_EQ(report.sites_reported, 1u);
+  EXPECT_EQ(report.duplicates_dropped, 1u);
+  EXPECT_EQ(report.stale_dropped, 1u);
+  EXPECT_EQ(report.frames_quarantined, 1u);
+  EXPECT_EQ(report.resyncs, 1u);
 }
 
-TEST(CollectLedger, MergeReportsKeepsNewestEpochAcrossParts) {
-  CollectReport a;
-  a.sites_total = 1;
-  a.per_site.resize(1);
-  a.per_site[0] = {2, true, false, 5};
-  a.sites_reported = 1;
-  CollectReport b;
-  b.sites_total = 1;
-  b.per_site.resize(1);
-  b.per_site[0] = {1, true, false, 3};
-  b.sites_reported = 1;
-  const CollectReport merged = merge_reports({b, a});  // order must not matter
-  EXPECT_EQ(merged.per_site[0].accepted_epoch, 5u);
-  EXPECT_EQ(merged.sites_reported, 1u);
+TEST(CollectLedger, RefusedFullFrameLeavesTheEntryAsItWas) {
+  CollectState ledger(2, PayloadKind::kF0Estimator, DedupMode::kLatestWins);
+  // A refused first frame: Q, and the site stays open for a retry.
+  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 5), 0, /*take=*/false), Verdict::kQuarantined);
+  EXPECT_FALSE(ledger.site_reported(0));
+  EXPECT_EQ(ledger.report().sites_reported, 0u);
+  // A refused newer frame: Q, and the site stays reported at the epoch
+  // the sink still holds.
+  ASSERT_EQ(admit_on(ledger, frame_bytes(1, 3), 0), Verdict::kAccepted);
+  EXPECT_EQ(admit_on(ledger, frame_bytes(1, 7), 0, /*take=*/false), Verdict::kQuarantined);
+  EXPECT_TRUE(ledger.site_reported(1));
+  EXPECT_EQ(ledger.report().sites_reported, 1u);
+  EXPECT_EQ(ledger.report().per_site[1].accepted_epoch, 3u);
+  EXPECT_EQ(ledger.report().frames_quarantined, 2u);
+  // The retransmission the Q asked for is judged against that entry.
+  EXPECT_EQ(admit_on(ledger, frame_bytes(1, 7), 0), Verdict::kAccepted);
+  EXPECT_EQ(ledger.report().per_site[1].accepted_epoch, 7u);
 }
 
-TEST(CollectLedger, MergeReportsRejectsMismatchedShape) {
-  CollectReport a;
-  a.sites_total = 2;
-  a.per_site.resize(2);
-  CollectReport b;
-  b.sites_total = 3;
-  b.per_site.resize(3);
-  EXPECT_THROW(merge_reports({a, b}), InvalidArgument);
-  EXPECT_THROW(merge_reports({}), InvalidArgument);
+TEST(CollectLedger, RefusedDeltaCountsOneResyncAndNoQuarantine) {
+  CollectState ledger(1, PayloadKind::kF0Estimator, DedupMode::kLatestWins);
+  ledger.enable_deltas(PayloadKind::kF0Delta);
+  ASSERT_EQ(admit_on(ledger, frame_bytes(0, 1), 0), Verdict::kAccepted);
+  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 2, PayloadKind::kF0Delta), 0, false),
+            Verdict::kResync);
+  EXPECT_EQ(ledger.report().resyncs, 1u);
+  EXPECT_EQ(ledger.report().frames_quarantined, 0u);
+  EXPECT_EQ(ledger.report().deltas_applied, 0u);
+  EXPECT_EQ(ledger.report().per_site[0].accepted_epoch, 1u);
+  // The chain is intact: the next good delta at the same epoch extends it.
+  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 2, PayloadKind::kF0Delta), 0), Verdict::kAccepted);
+  EXPECT_EQ(ledger.report().deltas_applied, 1u);
 }
 
-TEST(CollectLedger, MergeReportsEmptyShardLedgersFoldToNothing) {
-  // The kernel's SO_REUSEPORT hash can leave shards with zero connections —
-  // their ledgers are fresh CollectStates that saw no frames. Folding any
-  // number of them must be the identity, not an error and not phantom
-  // reports.
-  CollectReport empty;
-  empty.sites_total = 3;
-  empty.per_site.resize(3);
-
-  const CollectReport merged = merge_reports({empty, empty, empty, empty});
-  EXPECT_EQ(merged.sites_total, 3u);
-  EXPECT_EQ(merged.sites_reported, 0u);
-  EXPECT_TRUE(merged.degraded());
-  EXPECT_EQ(merged.total_attempts(), 0u);
-  EXPECT_EQ(merged.retries, 0u);
-  EXPECT_EQ(merged.missing_sites(), (std::vector<std::size_t>{0, 1, 2}));
-
-  // One live shard among idle ones folds to exactly that shard's view.
-  CollectReport live = empty;
-  live.per_site[1] = {1, true, false, 4};
-  live.sites_reported = 1;
-  const CollectReport mixed = merge_reports({empty, live, empty});
-  EXPECT_EQ(mixed.sites_reported, 1u);
-  EXPECT_EQ(mixed.per_site[1].accepted_epoch, 4u);
-  EXPECT_EQ(mixed.missing_sites(), (std::vector<std::size_t>{0, 2}));
+TEST(CollectLedger, DeltaOnAnotherShardThanTheHeadGetsResync) {
+  CollectState ledger(1, PayloadKind::kF0Estimator, DedupMode::kLatestWins);
+  ledger.enable_deltas(PayloadKind::kF0Delta);
+  ASSERT_EQ(admit_on(ledger, frame_bytes(0, 1), /*shard=*/1), Verdict::kAccepted);
+  // WAL replay orders records by (shard, seq): a delta logged on shard 0
+  // would replay before its base on shard 1, so shard 0 must refuse it.
+  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 2, PayloadKind::kF0Delta), 0), Verdict::kResync);
+  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 2, PayloadKind::kF0Delta), 1), Verdict::kAccepted);
+  // A full frame is accepted on any shard and moves the head with it.
+  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 3), 0), Verdict::kAccepted);
+  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 4, PayloadKind::kF0Delta), 1), Verdict::kResync);
+  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 4, PayloadKind::kF0Delta), 0), Verdict::kAccepted);
+  // Full frames get the verdicts a single loop gives, whatever the shard.
+  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 4), 1), Verdict::kDuplicate);
+  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 3), 1), Verdict::kStale);
+  EXPECT_EQ(ledger.report().resyncs, 2u);
+  EXPECT_EQ(ledger.report().deltas_applied, 2u);
 }
 
-TEST(CollectLedger, MergeReportsAllShardsDegradedStaysDegraded) {
-  // Every shard individually degraded, and the union still missing site 2:
-  // the fold must not manufacture completeness, and the quarantine/attempt
-  // tallies of the failed site must survive into the merged ledger so the
-  // degraded estimate stays quantifiable (DESIGN.md §6.3).
-  CollectReport a;
-  a.sites_total = 3;
-  a.per_site.resize(3);
-  a.per_site[0] = {1, true, false, 0};
-  a.per_site[2] = {2, false, true, 0};  // exhausted retry budget, never landed
-  a.sites_reported = 1;
-  a.frames_quarantined = 2;
-  CollectReport b;
-  b.sites_total = 3;
-  b.per_site.resize(3);
-  b.per_site[1] = {1, true, false, 0};
-  b.per_site[2] = {1, false, false, 0};
-  b.sites_reported = 1;
-  b.frames_quarantined = 1;
+TEST(CollectLedger, ShardViewHoldsTheSitesWhoseHeadTheShardAccepted) {
+  CollectState ledger(3, PayloadKind::kF0Estimator, DedupMode::kLatestWins);
+  // Site 0 first lands on shard 0, then a newer epoch on shard 1; its
+  // retransmission across shards is still one retry in the one ledger.
+  ledger.record_send(0);
+  ASSERT_EQ(admit_on(ledger, frame_bytes(0, 2), 0), Verdict::kAccepted);
+  ledger.record_send(0);
+  ASSERT_EQ(admit_on(ledger, frame_bytes(0, 5), 1), Verdict::kAccepted);
+  ledger.record_send(1);
+  ASSERT_EQ(admit_on(ledger, frame_bytes(1, 0), 0), Verdict::kAccepted);
+  EXPECT_EQ(ledger.report().retries, 1u);
+  EXPECT_EQ(ledger.report().missing_sites(), (std::vector<std::size_t>{2}));
 
-  const CollectReport merged = merge_reports({a, b});
-  EXPECT_EQ(merged.sites_reported, 2u);
-  EXPECT_TRUE(merged.degraded());
-  EXPECT_EQ(merged.missing_sites(), (std::vector<std::size_t>{2}));
-  EXPECT_EQ(merged.frames_quarantined, 3u);
-  EXPECT_EQ(merged.per_site[2].attempts, 3u);
-  // Site 2's 3 cross-shard attempts with zero acceptances are 2 retries.
-  EXPECT_EQ(merged.retries, 2u);
+  const CollectReport zero = ledger.shard_view(0);
+  const CollectReport one = ledger.shard_view(1);
+  const CollectReport idle = ledger.shard_view(2);
+  EXPECT_EQ(zero.sites_reported, 1u);
+  EXPECT_TRUE(zero.per_site[1].reported);
+  EXPECT_FALSE(zero.per_site[0].reported);
+  EXPECT_EQ(one.sites_reported, 1u);
+  EXPECT_EQ(one.per_site[0].accepted_epoch, 5u);
+  EXPECT_EQ(idle.sites_reported, 0u);
+  EXPECT_EQ(idle.missing_sites(), (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(zero.sites_reported + one.sites_reported + idle.sites_reported,
+            ledger.report().sites_reported);
 }
 
-TEST(CollectLedger, MergeReportsCountsDuplicateSiteOnceAfterDemotion) {
-  // The race the arbiter resolves: two shards each locally accepted site 0
-  // before one lost the global claim and demoted (duplicates_dropped += 1
-  // on the loser). After demotion only ONE ledger still holds the site;
-  // the fold counts it once and carries the loser's duplicate tally.
-  CollectState winner(2, PayloadKind::kF0Estimator, DedupMode::kExactlyOnce);
-  CollectState loser(2, PayloadKind::kF0Estimator, DedupMode::kExactlyOnce);
-  winner.record_send(0);
-  ASSERT_TRUE(winner.ingest(frame_bytes(0, 0)).has_value());
-  loser.record_send(0);
-  ASSERT_TRUE(loser.ingest(frame_bytes(0, 0)).has_value());
-  loser.demote_accepted(0, 0, /*previously_reported=*/false, /*count_stale=*/false);
+TEST(CollectLedger, CrossShardDuplicateCountsTheSiteOnce) {
+  CollectState ledger(2, PayloadKind::kF0Estimator, DedupMode::kExactlyOnce);
+  ledger.record_send(0);
+  ASSERT_EQ(admit_on(ledger, frame_bytes(0, 0), 0), Verdict::kAccepted);
+  ledger.record_send(0);
+  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 0), 1), Verdict::kDuplicate);
+  EXPECT_EQ(ledger.report().sites_reported, 1u);
+  EXPECT_EQ(ledger.report().per_site[0].attempts, 2u);
+  EXPECT_EQ(ledger.report().duplicates_dropped, 1u);
+  EXPECT_EQ(ledger.report().retries, 1u);
+  EXPECT_EQ(ledger.shard_view(0).sites_reported, 1u);
+  EXPECT_EQ(ledger.shard_view(1).sites_reported, 0u);
+}
 
-  const CollectReport merged = merge_reports({winner.report(), loser.report()});
-  EXPECT_EQ(merged.sites_reported, 1u);
-  EXPECT_EQ(merged.per_site[0].attempts, 2u);
-  EXPECT_EQ(merged.duplicates_dropped, 1u);
-  EXPECT_EQ(merged.retries, 1u);
+// A newer full frame the store refuses (another seed: it cannot merge with
+// what the store holds) is quarantined, and the site stays reported at the
+// epoch the store still holds — the ledger and the union agree.
+TEST(NetReferee, RefusedNewerFrameKeepsTheSiteReported) {
+  RefereeServerConfig config;
+  config.sites = 1;
+  config.dedup = DedupMode::kLatestWins;
+  config.continuous = true;
+  config.timeout = std::chrono::milliseconds{30'000};
+  RefereeServer server(std::move(config));
+  SiteSketchStore<F0Estimator> store(1);
+  RefereeServer::Result result;
+  std::thread referee([&server, &result, &store] {
+    result = server.run([&store](std::size_t site, std::uint32_t, std::uint16_t group,
+                                 PayloadKind kind, std::vector<std::uint8_t>&& payload) {
+      return store.accept(site, group, kind, payload);
+    });
+  });
 
-  // Had BOTH ledgers kept the site (the bug demotion prevents), the merged
-  // report would still count it once — the fold is idempotent per site.
-  CollectState undemoted(2, PayloadKind::kF0Estimator, DedupMode::kExactlyOnce);
-  undemoted.record_send(0);
-  ASSERT_TRUE(undemoted.ingest(frame_bytes(0, 0)).has_value());
-  const CollectReport folded = merge_reports({winner.report(), undemoted.report()});
-  EXPECT_EQ(folded.sites_reported, 1u);
+  F0Estimator mine(EstimatorParams::for_guarantee(0.2, 0.1, 61));
+  F0Estimator alien(EstimatorParams::for_guarantee(0.2, 0.1, 62));
+  for (std::uint64_t label = 0; label < 500; ++label) {
+    mine.add(label);
+    alien.add(label);
+  }
+  TcpTransportConfig tconfig = client_config(server.port());
+  tconfig.max_send_attempts = 4;
+  TcpTransport transport(1, tconfig);
+  EXPECT_EQ(transport.send_with_ack(
+                0, frame_encode({PayloadKind::kF0Estimator, 0, 1}, mine.serialize())),
+            PushAck::kAccepted);
+  EXPECT_THROW(transport.send_with_ack(
+                   0, frame_encode({PayloadKind::kF0Estimator, 0, 2}, alien.serialize())),
+               net::TransportError);
+  server.request_stop();
+  referee.join();
+
+  EXPECT_TRUE(store.has(0));
+  EXPECT_TRUE(result.report.complete()) << result.report.summary();
+  EXPECT_TRUE(result.report.per_site[0].reported);
+  EXPECT_EQ(result.report.per_site[0].accepted_epoch, 1u);
+  EXPECT_EQ(result.report.frames_quarantined, 4u);
+  EXPECT_EQ(result.shards[0].report.sites_reported, 1u);
 }
 
 TEST(NetReferee, BindAllInterfacesAcceptsLoopbackClients) {

@@ -940,14 +940,13 @@ TEST(GroupedCollect, LatestWinsRetagsOnNewerEpochOnly) {
   EXPECT_EQ(state.report().per_site[0].group, 2u);
 }
 
-TEST(GroupedCollect, DemoteAndRestoreCarryGroups) {
+TEST(GroupedCollect, RefusalAndRestoreCarryGroups) {
   CollectState state(1, PayloadKind::kF0Estimator, DedupMode::kLatestWins);
   ASSERT_TRUE(state.ingest(grouped_frame(0, 1, 3)).has_value());
-  ASSERT_TRUE(state.ingest(grouped_frame(0, 2, 4)).has_value());
-  // Cross-shard arbitration says the epoch-2 acceptance lost: the ledger
-  // must roll back to the prior (epoch, group) pair, not just the epoch.
-  state.demote_accepted(0, /*previous_epoch=*/1, /*previously_reported=*/true,
-                        /*count_stale=*/true, /*previous_group=*/3);
+  // The sink refuses the epoch-2 re-tag: the ledger keeps the prior
+  // (epoch, group) pair, not just the epoch.
+  Frame refused = frame_decode(grouped_frame(0, 2, 4));
+  EXPECT_EQ(state.admit(refused, [](Frame&) { return false; }), Verdict::kQuarantined);
   EXPECT_EQ(state.report().per_site[0].accepted_epoch, 1u);
   EXPECT_EQ(state.report().per_site[0].group, 3u);
   // Crash recovery transplants (site, epoch, group) in one call.
@@ -974,16 +973,17 @@ TEST(GroupedCollect, DeltaWithChangedGroupForcesResync) {
   EXPECT_EQ(state.report().per_site[0].accepted_epoch, 2u);
 }
 
-TEST(GroupedCollect, MergeReportsTakesWinningShardsGroup) {
-  CollectState a(2, PayloadKind::kF0Estimator, DedupMode::kLatestWins);
-  CollectState b(2, PayloadKind::kF0Estimator, DedupMode::kLatestWins);
-  ASSERT_TRUE(a.ingest(grouped_frame(0, 1, 1)).has_value());
-  ASSERT_TRUE(b.ingest(grouped_frame(0, 3, 2)).has_value());
-  const CollectReport merged = merge_reports({a.report(), b.report()});
-  EXPECT_EQ(merged.per_site[0].accepted_epoch, 3u);
-  EXPECT_EQ(merged.per_site[0].group, 2u);  // the newest epoch's tag
-  const CollectReport swapped = merge_reports({b.report(), a.report()});
-  EXPECT_EQ(swapped.per_site[0].group, 2u);  // shard order must not matter
+TEST(GroupedCollect, ShardViewTakesTheHeadShardsGroup) {
+  CollectState state(2, PayloadKind::kF0Estimator, DedupMode::kLatestWins);
+  Frame older = frame_decode(grouped_frame(0, 1, 1));
+  Frame newer = frame_decode(grouped_frame(0, 3, 2));
+  const auto take = [](Frame&) { return true; };
+  ASSERT_EQ(state.admit(older, take, /*shard=*/0), Verdict::kAccepted);
+  ASSERT_EQ(state.admit(newer, take, /*shard=*/1), Verdict::kAccepted);
+  EXPECT_EQ(state.report().per_site[0].accepted_epoch, 3u);
+  EXPECT_EQ(state.report().per_site[0].group, 2u);  // the newest epoch's tag
+  EXPECT_EQ(state.shard_view(1).per_site[0].group, 2u);
+  EXPECT_FALSE(state.shard_view(0).per_site[0].reported);
 }
 
 TEST(GroupedCollect, ReduceGroupsBucketsDeterministically) {
