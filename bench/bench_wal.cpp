@@ -54,7 +54,6 @@ void wal_append_rows(benchmark::State& state, durability::FsyncPolicy policy) {
     durability::WalConfig config;
     config.dir = dir;
     config.run_id = 1;
-    config.shard = 0;
     config.fsync = policy;
     config.segment_bytes = 1ull << 30;  // measure appends, not rotations
     durability::WalWriter writer(config, /*start_seq=*/0, /*watermark=*/0);

@@ -43,10 +43,6 @@ namespace ustream::cli {
 
 namespace {
 
-// Pre-frame sketch files ("USKE" + bare estimator, wire v0) are still
-// readable; new files are CRC32C-framed (common/frame.h).
-constexpr std::uint32_t kLegacySketchMagic = 0x454b5355;  // "USKE"
-
 // printf onto the end of `out`, sized from vsnprintf's own count, so a
 // long line (a --json heavy-hitter table, a deep path) is never cut short.
 void vappendf(std::string& out, const char* format, va_list args) {
@@ -166,11 +162,11 @@ void write_framed_payload(const std::string& path, PayloadKind kind,
   write_file(path, frame_encode({kind, 0, 0, group}, payload));
 }
 
-// Kind of a file for dispatch: the frame header's tag, or kF0Estimator for
-// legacy (v0) unframed sketch files.
+// Kind of a sketch file for dispatch: its frame header's tag. Every sketch
+// file is CRC32C-framed (common/frame.h); unframed bytes are refused.
 PayloadKind framed_kind_of(const std::string& path) {
   const auto bytes = read_file(path);
-  if (!looks_like_frame(bytes)) return PayloadKind::kF0Estimator;
+  if (!looks_like_frame(bytes)) throw SerializationError("not a framed sketch file: " + path);
   return frame_decode(bytes).header.kind;
 }
 
@@ -546,22 +542,6 @@ int cmd_info(const Args& args, std::string& out) {
     if (bytes.size() >= 4) {
       ByteReader r(bytes);
       const std::uint32_t magic = r.u32();
-      if (magic == kLegacySketchMagic) {
-        const F0Estimator est = read_sketch_file(path);
-        if (json) {
-          append(out,
-                 "{\"file\":\"%s\",\"format\":\"legacy-sketch\",\"bytes\":%zu,"
-                 "\"copies\":%zu,\"capacity\":%zu,\"seed\":%llu,%s}",
-                 json_escape(path).c_str(), bytes.size(), est.params().copies,
-                 est.params().capacity, static_cast<unsigned long long>(est.params().seed),
-                 footprint_json(est).c_str());
-        } else {
-          append(out, "%s: legacy (v0) sketch, %zu bytes, %zu copies x capacity %zu, seed %llu",
-                 path.c_str(), bytes.size(), est.params().copies, est.params().capacity,
-                 static_cast<unsigned long long>(est.params().seed));
-        }
-        continue;
-      }
       if (magic == 0x52545355) {  // "USTR"
         const auto items = read_trace(path);
         if (json) {
@@ -574,12 +554,7 @@ int cmd_info(const Args& args, std::string& out) {
         continue;
       }
     }
-    if (json) {
-      append(out, "{\"file\":\"%s\",\"format\":\"unknown\",\"bytes\":%zu}",
-             json_escape(path).c_str(), bytes.size());
-    } else {
-      append(out, "%s: unrecognized format (%zu bytes)", path.c_str(), bytes.size());
-    }
+    throw SerializationError("not a framed sketch file or a trace: " + path);
   }
   return 0;
 }
@@ -777,10 +752,9 @@ int serve(ServeOptions& o, const ServeKind<Sketch>& kind, std::string& out) {
             static_cast<unsigned long long>(res.wire.total_bytes));
     for (std::size_t k = 0; k < res.shards.size(); ++k) {
       const auto& shard = res.shards[k];
-      appendf(line, "%s{\"sites_reported\":%zu,\"wire_frames\":%llu,\"wire_bytes\":%llu}",
-              k > 0 ? "," : "", shard.report.sites_reported,
-              static_cast<unsigned long long>(shard.wire.messages),
-              static_cast<unsigned long long>(shard.wire.total_bytes));
+      appendf(line, "%s{\"wire_frames\":%llu,\"wire_bytes\":%llu}", k > 0 ? "," : "",
+              static_cast<unsigned long long>(shard.messages),
+              static_cast<unsigned long long>(shard.total_bytes));
     }
     line += ']';
     if (wal.enabled) {
@@ -809,10 +783,9 @@ int serve(ServeOptions& o, const ServeKind<Sketch>& kind, std::string& out) {
     if (server.shards() > 1) {
       for (std::size_t k = 0; k < res.shards.size(); ++k) {
         const auto& shard = res.shards[k];
-        append(out, "shard %zu: %zu sites, %llu frames, %llu bytes", k,
-               shard.report.sites_reported,
-               static_cast<unsigned long long>(shard.wire.messages),
-               static_cast<unsigned long long>(shard.wire.total_bytes));
+        append(out, "shard %zu: %llu frames, %llu bytes", k,
+               static_cast<unsigned long long>(shard.messages),
+               static_cast<unsigned long long>(shard.total_bytes));
       }
     }
     if (wal.enabled) {
@@ -1106,9 +1079,9 @@ int cmd_push(const Args& args, std::string& out) {
   USTREAM_REQUIRE(args.positional().size() == 1, "push needs exactly one sketch file");
   const std::string& path = args.positional()[0];
 
-  // Round-trip through the matching sketch type so legacy (v0) files push
-  // fine and a corrupt file fails HERE, not at the referee. The frame kind
-  // follows the file: freq/universal files push under their own kinds.
+  // Round-trip through the matching sketch type so a corrupt or unframed
+  // file fails HERE, not at the referee. The frame kind follows the file:
+  // freq/universal files push under their own kinds.
   PayloadKind push_kind = framed_kind_of(path);
   std::vector<std::uint8_t> payload;
   if (push_kind == PayloadKind::kFreqSketch) {
@@ -1116,7 +1089,6 @@ int cmd_push(const Args& args, std::string& out) {
   } else if (push_kind == PayloadKind::kUniversalSketch) {
     payload = read_universal_file(path).serialize();
   } else {
-    push_kind = PayloadKind::kF0Estimator;
     payload = read_sketch_file(path).serialize();
   }
   const auto frame = frame_encode(
@@ -1253,7 +1225,7 @@ int cmd_query(const Args& args, std::string& out) {
   SiteSketchStore<F0Estimator> store(files.size());
   for (std::size_t i = 0; i < files.size(); ++i) {
     const auto bytes = read_file(files[i]);
-    std::uint16_t group = 0;  // legacy v0 files are ungrouped
+    std::uint16_t group = 0;  // an unframed file is refused by read_sketch_file
     if (looks_like_frame(bytes)) group = frame_decode(bytes).header.group;
     USTREAM_REQUIRE(store.put(i, group, read_sketch_file(files[i])),
                     "sketch file " + files[i] + " is not coordinated with " + files[0] +
@@ -1388,23 +1360,8 @@ void write_sketch_file(const std::string& path, const F0Estimator& estimator,
 }
 
 F0Estimator read_sketch_file(const std::string& path) {
-  const auto bytes = read_file(path);
-  if (looks_like_frame(bytes)) {
-    const Frame frame = frame_decode(bytes);
-    if (frame.header.kind != PayloadKind::kF0Estimator) {
-      throw SerializationError(std::string("sketch file ") + path + " carries a " +
-                               payload_kind_name(frame.header.kind) + " frame");
-    }
-    return F0Estimator::deserialize(std::span<const std::uint8_t>(frame.payload));
-  }
-  // Legacy v0 layout: bare magic + estimator, no checksum.
-  ByteReader r(bytes);
-  if (r.remaining() < 4 || r.u32() != kLegacySketchMagic) {
-    throw SerializationError("not a ustream sketch file: " + path);
-  }
-  F0Estimator est = F0Estimator::deserialize(r);
-  if (!r.done()) throw SerializationError("trailing bytes in sketch file: " + path);
-  return est;
+  const Frame frame = read_framed_kind(path, PayloadKind::kF0Estimator);
+  return F0Estimator::deserialize(std::span<const std::uint8_t>(frame.payload));
 }
 
 std::string usage() {

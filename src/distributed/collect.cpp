@@ -66,7 +66,7 @@ std::string CollectReport::summary() const {
 }
 
 CollectState::CollectState(std::size_t sites, PayloadKind expected_kind, DedupMode mode)
-    : expected_kind_(expected_kind), mode_(mode), head_shard_(sites, 0) {
+    : expected_kind_(expected_kind), mode_(mode) {
   report_.sites_total = sites;
   report_.per_site.resize(sites);
 }
@@ -87,7 +87,7 @@ std::optional<Frame> CollectState::decode(std::span<const std::uint8_t> frame_by
   }
 }
 
-Verdict CollectState::judge(const FrameHeader& header, std::uint32_t shard) const {
+Verdict CollectState::judge(const FrameHeader& header) const {
   const bool delta = is_delta(header.kind);
   // Structurally sound frame, but from the wrong protocol or an unknown
   // sender: quarantine — the CRC protects integrity, not intent.
@@ -96,13 +96,13 @@ Verdict CollectState::judge(const FrameHeader& header, std::uint32_t shard) cons
   }
   const SiteCollectStatus& status = report_.per_site[header.site];
   if (delta) {
-    // A delta only extends an intact chain held on this shard (see admit).
-    // Retransmits of an already-applied epoch are duplicates/stale (the ack
-    // was lost, the state wasn't); everything else is a chain break that
-    // obliges the site to resync with a full frame — including a delta
-    // that claims another group than its chain: the site re-tagged itself,
-    // so its mirror is stale.
-    if (!status.reported || head_shard_[header.site] != shard) return Verdict::kResync;
+    // A delta only extends an intact chain. Retransmits of an
+    // already-applied epoch are duplicates/stale (the ack was lost, the
+    // state wasn't); everything else is a chain break that obliges the
+    // site to resync with a full frame — including a delta that claims
+    // another group than its chain: the site re-tagged itself, so its
+    // mirror is stale.
+    if (!status.reported) return Verdict::kResync;
     if (header.epoch == status.accepted_epoch) return Verdict::kDuplicate;
     if (header.epoch < status.accepted_epoch) return Verdict::kStale;
     if (header.epoch != status.accepted_epoch + 1 || header.group != status.group) {
@@ -119,7 +119,7 @@ Verdict CollectState::judge(const FrameHeader& header, std::uint32_t shard) cons
   return Verdict::kAccepted;
 }
 
-void CollectState::record(const FrameHeader& header, Verdict verdict, std::uint32_t shard) {
+void CollectState::record(const FrameHeader& header, Verdict verdict) {
   switch (verdict) {
     case Verdict::kAccepted: {
       SiteCollectStatus& status = report_.per_site[header.site];
@@ -129,7 +129,6 @@ void CollectState::record(const FrameHeader& header, Verdict verdict, std::uint3
       }
       status.accepted_epoch = header.epoch;
       status.group = header.group;
-      head_shard_[header.site] = shard;
       if (is_delta(header.kind)) report_.deltas_applied += 1;
       break;
     }
@@ -177,7 +176,6 @@ void CollectState::restore_accepted(std::size_t site, std::uint32_t epoch,
   }
   status.accepted_epoch = epoch;
   status.group = group;
-  head_shard_[site] = 0;
   if (status.attempts == 0) status.attempts = 1;
 }
 
@@ -185,18 +183,6 @@ void CollectState::finalize(std::uint32_t max_attempts) {
   for (auto& status : report_.per_site) {
     status.exhausted = !status.reported && status.attempts >= max_attempts;
   }
-}
-
-CollectReport CollectState::shard_view(std::uint32_t shard) const {
-  CollectReport view;
-  view.sites_total = report_.sites_total;
-  view.per_site.resize(report_.sites_total);
-  for (std::size_t s = 0; s < report_.sites_total; ++s) {
-    if (!report_.per_site[s].reported || head_shard_[s] != shard) continue;
-    view.per_site[s] = report_.per_site[s];
-    view.sites_reported += 1;
-  }
-  return view;
 }
 
 }  // namespace ustream

@@ -105,12 +105,12 @@ class CollectState {
 
   // Opts into the continuous-mode delta protocol: frames of `delta_kind`
   // are accepted IFF they extend the site's chain exactly — the site has
-  // reported, the delta's epoch is accepted_epoch + 1 under the chain's
-  // group, and it arrived on the shard that accepted the chain head.
-  // Anything else counts a resync: the frame is dropped and the site owes
-  // a full frame of the expected kind, which re-bases the chain through
-  // the ordinary latest-wins path. Requires kLatestWins — a chain is
-  // meaningless under exactly-once.
+  // reported and the delta's epoch is accepted_epoch + 1 under the chain's
+  // group, on whichever referee shard it arrives. Anything else counts a
+  // resync: the frame is dropped and the site owes a full frame of the
+  // expected kind, which re-bases the chain through the ordinary
+  // latest-wins path. Requires kLatestWins — a chain is meaningless under
+  // exactly-once.
   void enable_deltas(PayloadKind delta_kind);
 
   // Frame-layer validation (magic, version, CRC); nullopt = corrupt bytes.
@@ -119,19 +119,15 @@ class CollectState {
 
   // Judges a decoded frame against the ledger and records the verdict.
   // On an acceptance `sink(Frame&)` runs first — it may move the payload
-  // out — and returns whether it took the frame. `shard` is the referee
-  // shard the frame arrived on; the ledger remembers which shard accepted
-  // each site's head and gives a delta from any other shard R: WAL replay
-  // orders records by (shard, seq), so a delta logged on another shard
-  // than its base could replay before the base. Never throws on bad
+  // out — and returns whether it took the frame. Never throws on bad
   // bytes — corruption is data here, not an error.
   template <typename Sink>
-  Verdict admit(Frame& frame, Sink&& sink, std::uint32_t shard = 0) {
-    Verdict verdict = judge(frame.header, shard);
+  Verdict admit(Frame& frame, Sink&& sink) {
+    Verdict verdict = judge(frame.header);
     if (verdict == Verdict::kAccepted && !sink(frame)) {
       verdict = is_delta(frame.header.kind) ? Verdict::kResync : Verdict::kQuarantined;
     }
-    record(frame.header, verdict, shard);
+    record(frame.header, verdict);
     return verdict;
   }
   // Records bytes that did not decode (or never completed): always Q.
@@ -160,8 +156,8 @@ class CollectState {
   void record_send(std::size_t site);
   void record_fresh_send(std::size_t site);
   // Ledger restore hook for crash recovery (durability/recovery.h): marks
-  // `site` as reported at `epoch` with one attempt, its head on shard 0,
-  // exactly as if its winning frame had been sent once and accepted there.
+  // `site` as reported at `epoch` with one attempt, exactly as if its
+  // winning frame had been sent once and accepted.
   // Recovery judges the replayed WAL frames with admit(); this hook
   // transplants the result into the referee's live ledger without touching
   // the retry/duplicate counters — attempts spent before the crash are
@@ -175,22 +171,18 @@ class CollectState {
   bool all_reported() const noexcept { return report_.sites_reported == report_.sites_total; }
 
   const CollectReport& report() const noexcept { return report_; }
-  // The sites whose head `shard` accepted: their per_site entries and
-  // sites_reported; every other entry and every counter is zero.
-  CollectReport shard_view(std::uint32_t shard) const;
 
  private:
   bool is_delta(PayloadKind kind) const noexcept {
     return delta_kind_.has_value() && kind == *delta_kind_;
   }
-  Verdict judge(const FrameHeader& header, std::uint32_t shard) const;
-  void record(const FrameHeader& header, Verdict verdict, std::uint32_t shard);
+  Verdict judge(const FrameHeader& header) const;
+  void record(const FrameHeader& header, Verdict verdict);
 
   PayloadKind expected_kind_;
   DedupMode mode_;
   std::optional<PayloadKind> delta_kind_;
   CollectReport report_;
-  std::vector<std::uint32_t> head_shard_;  // per site: shard that accepted the head
 };
 
 // Per-group sketch for a grouped collection: the reduced union of one

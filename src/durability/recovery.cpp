@@ -111,14 +111,14 @@ RecoveryResult recover_referee_state(const RecoveryOptions& options) {
     break;
   }
 
-  // Replay every segment the snapshot does not cover. Segments are sorted
-  // (shard, seq); order across shards is irrelevant (see header comment).
+  // Replay every segment the snapshot does not cover, in (seq, shard)
+  // order (see header comment).
   const auto segments = scan_wal_segments(options.dir);
   for (const auto& seg : segments) {
     result.max_segment_seq = std::max(result.max_segment_seq, seg.seq);
     if (!seg.header_valid) {
       // Unreadable header: nothing in this file can be trusted. Count and
-      // move on — other shards' chains are independent.
+      // move on — the other segments' records still replay.
       result.frames_corrupt += 1;
       continue;
     }
@@ -145,8 +145,7 @@ bool wal_dir_dirty(const std::string& dir) {
   return !scan_wal_segments(dir).empty() || !scan_snapshots(dir).empty();
 }
 
-DurableLog::DurableLog(Options options, std::size_t sites,
-                       std::uint32_t shards, std::uint64_t run_id)
+DurableLog::DurableLog(Options options, std::size_t sites, std::uint64_t run_id)
     : options_(std::move(options)), run_id_(run_id) {
   USTREAM_REQUIRE(!wal_dir_dirty(options_.dir),
                   "WAL dir '" + options_.dir +
@@ -155,11 +154,10 @@ DurableLog::DurableLog(Options options, std::size_t sites,
                       "directory");
   recovered_.sites.resize(sites);
   if (options_.snapshot_every > 0) winners_.resize(sites);
-  open_writers(shards, /*start_seq=*/0, /*watermark=*/0);
+  open_writer(/*start_seq=*/0, /*watermark=*/0);
 }
 
-DurableLog::DurableLog(Options options, std::size_t sites,
-                       std::uint32_t shards, RecoveryResult recovered)
+DurableLog::DurableLog(Options options, std::size_t sites, RecoveryResult recovered)
     : options_(std::move(options)),
       run_id_(recovered.run_id),
       recovered_(std::move(recovered)) {
@@ -167,11 +165,11 @@ DurableLog::DurableLog(Options options, std::size_t sites,
                   "recovered state has a different site count than serve");
   if (options_.snapshot_every > 0) winners_ = recovered_.sites;
   next_snapshot_seq_ = recovered_.max_snapshot_seq + 1;
-  // New segments start past every existing chain and are stamped covered
-  // by nothing (watermark = last snapshot actually used, so they replay
-  // on the next recovery even if newer corrupt snapshots exist).
-  open_writers(shards, recovered_.max_segment_seq + 1,
-               recovered_.used_snapshot ? recovered_.snapshot_seq : 0);
+  // New segments start past every existing one and are stamped covered by
+  // nothing (watermark = last snapshot actually used, so they replay on
+  // the next recovery even if newer corrupt snapshots exist).
+  open_writer(recovered_.max_segment_seq + 1,
+              recovered_.used_snapshot ? recovered_.snapshot_seq : 0);
 }
 
 DurableLog::~DurableLog() {
@@ -182,31 +180,22 @@ DurableLog::~DurableLog() {
   }
 }
 
-void DurableLog::open_writers(std::uint32_t shards, std::uint32_t start_seq,
-                              std::uint32_t watermark) {
-  writers_.reserve(shards);
-  for (std::uint32_t shard = 0; shard < shards; ++shard) {
-    WalConfig config;
-    config.dir = options_.dir;
-    config.run_id = run_id_;
-    config.shard = shard;
-    config.fsync = options_.fsync;
-    config.fsync_interval = options_.fsync_interval;
-    config.segment_bytes = options_.segment_bytes;
-    writers_.push_back(
-        std::make_unique<WalWriter>(std::move(config), start_seq, watermark));
-  }
+void DurableLog::open_writer(std::uint32_t start_seq, std::uint32_t watermark) {
+  WalConfig config;
+  config.dir = options_.dir;
+  config.run_id = run_id_;
+  config.fsync = options_.fsync;
+  config.fsync_interval = options_.fsync_interval;
+  config.segment_bytes = options_.segment_bytes;
+  writer_ = std::make_unique<WalWriter>(std::move(config), start_seq, watermark);
 }
 
-void DurableLog::log_accepted(std::uint32_t shard, std::uint32_t site,
-                              std::uint32_t epoch,
+void DurableLog::log_accepted(std::uint32_t site, std::uint32_t epoch,
                               std::span<const std::uint8_t> frame_bytes,
                               bool is_delta) {
-  USTREAM_REQUIRE(shard < writers_.size(), "log_accepted: shard out of range");
   USTREAM_REQUIRE(site < recovered_.sites.size(), "log_accepted: site out of range");
-  WalWriter& writer = *writers_[shard];
-  writer.append(frame_bytes);
-  writer.commit();
+  writer_->append(frame_bytes);
+  writer_->commit();
   records_logged_ += 1;
   // Only a snapshot reads the winners; without one nothing is retained.
   if (options_.snapshot_every == 0) return;
@@ -257,35 +246,13 @@ void DurableLog::maybe_snapshot() {
   }
   const std::uint32_t seq = next_snapshot_seq_++;
   write_snapshot(options_.dir, run_id_, seq, frames);
-  // Rotate every writer into a fresh segment stamped with the new
-  // watermark: everything logged so far is covered by snapshot `seq`.
-  for (auto& writer : writers_) {
-    writer->rotate(seq);
-  }
+  // Rotate into a fresh segment stamped with the new watermark:
+  // everything logged so far is covered by snapshot `seq`.
+  writer_->rotate(seq);
   accepted_since_snapshot_ = 0;
   snapshots_written_ += 1;
 }
 
-void DurableLog::sync_all() {
-  for (auto& writer : writers_) {
-    writer->sync();
-  }
-}
-
-std::uint64_t DurableLog::bytes_logged() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& writer : writers_) {
-    total += writer->bytes_appended();
-  }
-  return total;
-}
-
-std::uint64_t DurableLog::fsyncs() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& writer : writers_) {
-    total += writer->fsyncs();
-  }
-  return total;
-}
+void DurableLog::sync_all() { writer_->sync(); }
 
 }  // namespace ustream::durability

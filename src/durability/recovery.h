@@ -5,13 +5,15 @@
 // snapshot.h) plus every WAL segment the snapshot does not cover, replayed
 // through a fresh CollectState::admit — the SAME acceptance path live
 // frames take, so exactly-once / latest-wins semantics are preserved by
-// construction. Segments replay in (shard, seq) order. For full frames the
-// order across shards is irrelevant: only accepted frames were ever
-// logged, so under exactly-once each site appears at most once globally,
-// and under latest-wins replay is a max-over-epochs merge. A delta is
-// accepted only on the shard that accepted its chain head (the ledger's
-// head-shard rule), so it is logged in the same shard's segments as its
-// base, after it, and replays after it.
+// construction. The referee logs every accepted frame to ONE segment
+// chain in acceptance order, so replay in chain order is the live order:
+// a delta replays after its base, whichever shard accepted either. A dir
+// an older build wrote holds one chain per shard; segments replay in
+// (seq, shard) order. Inside such a run a delta sat in its base's chain,
+// which that order keeps in seq order, and full frames are order-free
+// (exactly-once logged each site at most once, latest-wins is a max over
+// epochs). A resumed run's segments start past every old seq, so they
+// replay after all of the old run's.
 //
 // What "byte-identical resume" means: the recovered referee holds, for
 // every site that was acked before the crash, the exact frame bytes that
@@ -64,8 +66,8 @@ struct RecoveryResult {
   bool used_snapshot = false;
   std::uint32_t snapshot_seq = 0;
   std::uint64_t run_id = 0;
-  // Highest segment seq seen per shard file set, so restarted writers
-  // continue the chain instead of colliding with existing files.
+  // Highest segment seq seen, so a restarted writer continues past every
+  // existing segment instead of colliding with one.
   std::uint32_t max_segment_seq = 0;
   std::uint32_t max_snapshot_seq = 0;
 
@@ -91,12 +93,12 @@ struct RecoveryOptions {
 // frame that provably survived, not to insist the dir is pristine.
 RecoveryResult recover_referee_state(const RecoveryOptions& options);
 
-// The referee's durability coordinator: per-shard WalWriters, the set of
-// winning frames (kept only when snapshots are on), and the snapshot
-// trigger. All methods
-// are called under the referee's cross-shard arbiter mutex — the mutex
-// that already serializes acceptance is what makes "log in acceptance
-// order" free — so DurableLog itself takes no locks.
+// The referee's durability coordinator: the one WalWriter every shard logs
+// to, the set of winning frames (kept only when snapshots are on), and the
+// snapshot trigger. All methods are called under the referee's cross-shard
+// arbiter mutex — the mutex that already serializes acceptance is what
+// makes "log in acceptance order" free — so DurableLog itself takes no
+// locks.
 class DurableLog {
  public:
   struct Options {
@@ -111,26 +113,22 @@ class DurableLog {
   // Fresh log (no recovery): `dir` must not already hold WAL artifacts —
   // starting a new run over an old run's log would make `--recover` a
   // footgun, so the caller must pass recovered state or use a clean dir.
-  DurableLog(Options options, std::size_t sites, std::uint32_t shards,
-             std::uint64_t run_id);
-  // Resumed log: continues the segment chains and snapshot sequence from
+  DurableLog(Options options, std::size_t sites, std::uint64_t run_id);
+  // Resumed log: continues the segment chain and snapshot sequence from
   // `recovered`, and seeds the winning-frame set from it.
-  DurableLog(Options options, std::size_t sites, std::uint32_t shards,
-             RecoveryResult recovered);
+  DurableLog(Options options, std::size_t sites, RecoveryResult recovered);
   ~DurableLog();
 
-  // Logs one arbitration winner: appends the frame to shard's WAL and
-  // commits (write + policy fsync) so the caller may ack. May write a
-  // snapshot and rotate every shard's writer when snapshot_every is hit.
-  // `is_delta` appends the frame to the site's recovered chain instead of
-  // replacing it (the site must already hold a full frame); a full frame
-  // always resets the chain.
-  void log_accepted(std::uint32_t shard, std::uint32_t site,
-                    std::uint32_t epoch,
+  // Logs one arbitration winner: appends the frame to the WAL and commits
+  // (write + policy fsync) so the caller may ack. May write a snapshot and
+  // rotate the writer when snapshot_every is hit. `is_delta` appends the
+  // frame to the site's recovered chain instead of replacing it (the site
+  // must already hold a full frame); a full frame always resets the chain.
+  void log_accepted(std::uint32_t site, std::uint32_t epoch,
                     std::span<const std::uint8_t> frame_bytes,
                     bool is_delta = false);
 
-  // Final flush+fsync on every shard (clean shutdown).
+  // Final flush+fsync (clean shutdown).
   void sync_all();
 
   const RecoveryResult& recovered() const noexcept { return recovered_; }
@@ -142,19 +140,18 @@ class DurableLog {
   std::uint64_t retained_bytes() const noexcept;
   std::uint64_t run_id() const noexcept { return run_id_; }
   std::uint64_t records_logged() const noexcept { return records_logged_; }
-  std::uint64_t bytes_logged() const noexcept;
-  std::uint64_t fsyncs() const noexcept;
+  std::uint64_t bytes_logged() const noexcept { return writer_->bytes_appended(); }
+  std::uint64_t fsyncs() const noexcept { return writer_->fsyncs(); }
   std::uint64_t snapshots_written() const noexcept { return snapshots_written_; }
 
  private:
-  void open_writers(std::uint32_t shards, std::uint32_t start_seq,
-                    std::uint32_t watermark);
+  void open_writer(std::uint32_t start_seq, std::uint32_t watermark);
   void maybe_snapshot();
 
   Options options_;
   std::uint64_t run_id_ = 0;
   RecoveryResult recovered_;
-  std::vector<std::unique_ptr<WalWriter>> writers_;  // one per shard
+  std::unique_ptr<WalWriter> writer_;
   // site -> current winning chain (what a snapshot serializes); empty
   // when snapshot_every is 0, since nothing else reads it.
   std::vector<std::optional<RecoveredSite>> winners_;

@@ -11,7 +11,7 @@
 // diverge.
 //
 // Coordination with the WAL needs no byte cursors: writing snapshot S
-// rotates every shard's writer into a fresh segment stamped with
+// rotates the referee's writer into a fresh segment stamped with
 // watermark S. Recovery then replays the newest valid snapshot plus only
 // the segments whose watermark >= S — the covered tail is skipped, and
 // if the newest snapshot is corrupt the previous one still works (older

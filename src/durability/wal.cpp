@@ -191,8 +191,8 @@ std::vector<SegmentInfo> scan_wal_segments(const std::string& dir) {
   ::closedir(d);
   std::sort(segments.begin(), segments.end(),
             [](const SegmentInfo& a, const SegmentInfo& b) {
-              if (a.shard != b.shard) return a.shard < b.shard;
               if (a.seq != b.seq) return a.seq < b.seq;
+              if (a.shard != b.shard) return a.shard < b.shard;
               return a.path < b.path;
             });
   return segments;
@@ -259,11 +259,11 @@ WalWriter::~WalWriter() {
 
 void WalWriter::open_segment() {
   const std::string path = config_.dir + "/" +
-                           wal_segment_name(config_.shard, seq_);
+                           wal_segment_name(0, seq_);
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_APPEND, 0644);
   if (fd_ < 0) throw SerializationError(errno_message("open", path));
   const auto header =
-      encode_wal_header(config_.run_id, config_.shard, seq_, watermark_);
+      encode_wal_header(config_.run_id, 0, seq_, watermark_);
   const char* p = reinterpret_cast<const char*>(header.data());
   std::size_t left = header.size();
   while (left > 0) {

@@ -4,9 +4,10 @@
 // though the sites already held 'A' acks for them — the one fault the
 // retry/dedup machinery cannot paper over, because an acked site never
 // retransmits on its own. The WAL closes that hole: an accepted wire frame
-// is appended to a per-shard log and written to the kernel BEFORE its ack
-// byte is queued, so a kill -9 referee can be restarted with
-// `serve --recover` and every acked frame replayed (durability/recovery.h).
+// is appended to the referee's one log, in acceptance order, and written
+// to the kernel BEFORE its ack byte is queued, so a kill -9 referee can be
+// restarted with `serve --recover` and every acked frame replayed
+// (durability/recovery.h).
 //
 // The record format leans on PR 2's framing: accepted frames are already
 // CRC32C-checksummed version-1 wire frames, so the log record IS the frame,
@@ -22,8 +23,9 @@
 //        4     1  version    kWalVersion
 //        5     3  reserved   must be zero
 //        8     8  run_id     identifies one collection run across restarts
-//       16     4  shard      writer's shard index
-//       20     4  seq        segment sequence number within the shard chain
+//       16     4  shard      0 (older builds wrote one chain per referee
+//                            shard and put its index here)
+//       20     4  seq        segment sequence number within the chain
 //       24     4  watermark  snapshots written before this segment opened
 //       28     4  crc        CRC32C over bytes [0, 28)
 //
@@ -71,7 +73,6 @@ FsyncPolicy parse_fsync_policy(const std::string& name);
 struct WalConfig {
   std::string dir;
   std::uint64_t run_id = 0;
-  std::uint32_t shard = 0;
   FsyncPolicy fsync = FsyncPolicy::kInterval;
   std::chrono::milliseconds fsync_interval{50};
   // Rotation threshold: a commit that leaves the segment past this size
@@ -80,7 +81,8 @@ struct WalConfig {
 };
 
 // Segment file name within a WAL dir: wal-<shard>-<seq>.log (zero-padded
-// so lexicographic order is chain order).
+// so lexicographic order is chain order). WalWriter names its segments
+// with shard 0; a nonzero shard only names a segment an older build wrote.
 std::string wal_segment_name(std::uint32_t shard, std::uint32_t seq);
 
 // The 32-byte checksummed segment header (exposed for snapshot files,
@@ -103,7 +105,9 @@ struct SegmentInfo {
 };
 
 // Scans `dir` for WAL segments and parses their headers. Returns segments
-// sorted by (shard, seq); files whose header fails validation are still
+// sorted by (seq, shard) — chain order, and for a dir an older build wrote
+// with one chain per shard, every old segment before the ones a resumed
+// run appended past them (recovery.h); files whose header fails validation are still
 // listed (header_valid = false) so inspection tools can show them. A
 // missing directory is an empty WAL, not an error.
 std::vector<SegmentInfo> scan_wal_segments(const std::string& dir);
@@ -142,9 +146,9 @@ class SegmentReader {
   bool done_ = false;
 };
 
-// Append side: one writer per shard, owned by the referee and driven under
-// the cross-shard arbiter mutex (referee_server.cpp), so no locking of its
-// own. append() buffers; commit() write()s the buffer to the segment file
+// Append side: the referee's one writer, owned by its DurableLog and driven
+// under the cross-shard arbiter mutex (referee_server.cpp), so no locking
+// of its own. append() buffers; commit() write()s the buffer to the segment file
 // and fsyncs per policy — the ack for an accepted frame is only queued
 // after commit() returns.
 class WalWriter {

@@ -507,12 +507,11 @@ class RefereeServer::Shard {
         // ack byte can be queued: an acked frame is always recoverable
         // after kill -9. A crash between sink and here loses nothing — the
         // site never saw an ack, so it retries after the restart.
-        server_.durable_->log_accepted(static_cast<std::uint32_t>(index_), h.site, h.epoch,
-                                       frame_bytes, delta);
+        server_.durable_->log_accepted(h.site, h.epoch, frame_bytes, delta);
       }
       return true;
     };
-    const Verdict verdict = ledger.admit(*frame, sink, static_cast<std::uint32_t>(index_));
+    const Verdict verdict = ledger.admit(*frame, sink);
     if (verdict == Verdict::kAccepted && !shared_.continuous && ledger.all_reported() &&
         !shared_.complete.load(std::memory_order_relaxed)) {
       shared_.complete.store(true, std::memory_order_release);
@@ -580,9 +579,7 @@ RefereeServer::RefereeServer(RefereeServerConfig config) : config_(std::move(con
       rec.dedup = config_.dedup;
       rec.delta_kind = config_.delta_kind;
       durable_ = std::make_unique<durability::DurableLog>(
-          std::move(log_options), config_.sites,
-          static_cast<std::uint32_t>(config_.shards),
-          durability::recover_referee_state(rec));
+          std::move(log_options), config_.sites, durability::recover_referee_state(rec));
     } else {
       // Fresh run: a dirty dir throws here (DurableLog's constructor) so
       // `serve` fails loudly instead of interleaving two runs' logs.
@@ -590,9 +587,8 @@ RefereeServer::RefereeServer(RefereeServerConfig config) : config_(std::move(con
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::system_clock::now().time_since_epoch())
               .count());
-      durable_ = std::make_unique<durability::DurableLog>(
-          std::move(log_options), config_.sites,
-          static_cast<std::uint32_t>(config_.shards), run_id);
+      durable_ = std::make_unique<durability::DurableLog>(std::move(log_options),
+                                                          config_.sites, run_id);
     }
   }
   // Shard 0 resolves the port (possibly ephemeral); the rest join it via
@@ -625,11 +621,10 @@ RefereeServer::Result RefereeServer::run(const PayloadSink& sink) {
   }
 
   // Recovered sites are preloaded before any loop starts: their payloads
-  // reach the sink, and the ledger marks them reported with their head on
-  // shard 0, so re-pushes after the restart dedup exactly as live
-  // duplicates would. A site whose replayed payload fails the sink
-  // (CRC-collision-grade corruption) is simply left unreported — its
-  // pusher retries and re-collects it live.
+  // reach the sink, and the ledger marks them reported, so re-pushes after
+  // the restart dedup exactly as live duplicates would. A site whose
+  // replayed payload fails the sink (CRC-collision-grade corruption) is
+  // simply left unreported — its pusher retries and re-collects it live.
   if (durable_ != nullptr) {
     const durability::RecoveryResult& rec = durable_->recovered();
     for (std::size_t site = 0; site < rec.sites.size(); ++site) {
@@ -698,8 +693,8 @@ RefereeServer::Result RefereeServer::run(const PayloadSink& sink) {
   res.report = shared.ledger.report();
   bool any_timed_out = false;
   res.wire.bytes_per_site.assign(config_.sites, 0);
-  for (std::size_t k = 0; k < shards.size(); ++k) {
-    Shard& shard = *shards[k];
+  for (const auto& owned : shards) {
+    Shard& shard = *owned;
     any_timed_out = any_timed_out || shard.timed_out;
     res.wire.messages += shard.wire.messages;
     res.wire.total_bytes += shard.wire.total_bytes;
@@ -708,8 +703,7 @@ RefereeServer::Result RefereeServer::run(const PayloadSink& sink) {
     for (std::size_t s = 0; s < config_.sites; ++s) {
       res.wire.bytes_per_site[s] += shard.wire.bytes_per_site[s];
     }
-    res.shards.push_back(ShardObservation{
-        shared.ledger.shard_view(static_cast<std::uint32_t>(k)), std::move(shard.wire)});
+    res.shards.push_back(std::move(shard.wire));
   }
   res.timed_out = any_timed_out && !res.report.complete();
   if (durable_ != nullptr) {

@@ -12,10 +12,9 @@
 // load-balances incoming connections), its own wire stats and its own
 // `shard="k"`-labeled metrics. All shards share ONE ledger behind one
 // mutex, taken once per frame: attempt accounting, the verdict, the sink
-// and the WAL commit happen there, so verdicts are those of a single loop
-// over the global frame order. The one shard-visible rule is that a delta
-// is accepted only on the shard that accepted its site's chain head (see
-// CollectState::admit). At finish the accepted per-site payloads reduce
+// and the commit to the one WAL happen there, so verdicts are those of a
+// single loop over the global frame order and no rule depends on the shard
+// a frame lands on. At finish the accepted per-site payloads reduce
 // through the parallel MergeEngine in site order — byte-identical to the
 // single-loop referee on the same frame set.
 //
@@ -68,9 +67,9 @@ struct RefereeServerConfig {
 
   // Continuous-mode delta protocol (DESIGN.md §12). When set, frames of
   // this kind are accepted iff they extend the site's epoch chain exactly
-  // (accepted_epoch + 1, on the shard that accepted the chain head);
-  // anything else earns the 'R' resync ack that tells the site to re-base with a full frame of
-  // expected_kind. Requires kLatestWins. The sink receives each accepted
+  // (accepted_epoch + 1), on whichever shard they land; anything else
+  // earns the 'R' resync ack that tells the site to re-base with a full
+  // frame of expected_kind. Requires kLatestWins. The sink receives each accepted
   // payload with its kind, so it can apply deltas onto its per-site mirror
   // instead of replacing it.
   std::optional<PayloadKind> delta_kind;
@@ -118,7 +117,7 @@ struct RefereeServerConfig {
   std::function<std::string(const std::string& expr, bool json)> query_handler;
 
   // Durability (DESIGN.md §11): when set, every accepted frame is appended
-  // to a per-shard WAL under `dir` and committed (write + fsync per policy)
+  // to the one WAL under `dir`, in acceptance order, and committed (write + fsync per policy)
   // BEFORE its ack byte is queued, so a kill -9'd referee can resume with
   // `recover = true`: the dir is replayed through the same CollectState
   // acceptance path and the server starts with every previously-acked site
@@ -165,15 +164,6 @@ class RefereeServer {
                                          std::uint16_t group, PayloadKind kind,
                                          std::vector<std::uint8_t>&& payload)>;
 
-  // One shard's view of the collection, kept visible so tests and the CLI
-  // can show where frames landed: `report` holds the sites whose head this
-  // shard accepted (per_site and sites_reported only; counters are the
-  // ledger's, in Result.report).
-  struct ShardObservation {
-    CollectReport report;
-    ChannelStats wire;
-  };
-
   // What the WAL did during this run (zeros when durability is off).
   struct DurabilityInfo {
     bool enabled = false;
@@ -191,7 +181,7 @@ class RefereeServer {
     CollectReport report;  // the one ledger every shard admitted frames to
     ChannelStats wire;     // complete frames observed on the wire, per site
     bool timed_out = false;  // deadline expired before every site reported
-    std::vector<ShardObservation> shards;  // size == config.shards
+    std::vector<ChannelStats> shards;  // each shard's wire stats; size == config.shards
     DurabilityInfo durability;
   };
 
@@ -235,7 +225,7 @@ struct NetCollectResult {
   ChannelStats wire;
   std::optional<Sketch> union_sketch;
   bool timed_out = false;
-  std::vector<RefereeServer::ShardObservation> shards;
+  std::vector<ChannelStats> shards;
   RefereeServer::DurabilityInfo durability;
 };
 

@@ -4,12 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "cli/args.h"
 #include "common/error.h"
+#include "common/frame.h"
 #include "common/serialize.h"
+#include "durability/recovery.h"
 
 namespace ustream::cli {
 namespace {
@@ -126,15 +131,15 @@ TEST_F(CliTest, InfoShowsFrameMetadataForSketchFiles) {
   EXPECT_NE(out.find("f0-estimator"), std::string::npos) << out;
 }
 
-TEST_F(CliTest, LegacyV0SketchFilesStayReadable) {
+TEST_F(CliTest, UnframedV0SketchFilesAreRefused) {
   // Files written before the framed format (bare "USKE" magic + payload,
-  // no checksum) must keep working: the version-bump path is additive.
+  // no checksum) are not read: every sketch file must carry a CRC frame.
   F0Estimator est(EstimatorParams{.capacity = 64, .copies = 3, .seed = 6});
   for (std::uint64_t x = 0; x < 500; ++x) est.add(x);
-  const auto file = path("legacy.sk");
+  const auto file = path("unframed.sk");
   {
     ByteWriter w;
-    w.u32(0x454b5355);  // legacy "USKE"
+    w.u32(0x454b5355);  // "USKE"
     est.serialize(w);
     const auto& bytes = w.data();
     std::FILE* f = std::fopen(file.c_str(), "wb");
@@ -142,13 +147,51 @@ TEST_F(CliTest, LegacyV0SketchFilesStayReadable) {
     std::fwrite(bytes.data(), 1, bytes.size(), f);
     std::fclose(f);
   }
-  const F0Estimator back = read_sketch_file(file);
-  EXPECT_DOUBLE_EQ(back.estimate(), est.estimate());
-  auto [code, out] = invoke({"info", file});
-  EXPECT_EQ(code, 0);
-  EXPECT_NE(out.find("legacy (v0) sketch"), std::string::npos) << out;
-  auto [ecode, eout] = invoke({"estimate", file});
-  EXPECT_EQ(ecode, 0) << eout;
+  EXPECT_THROW(read_sketch_file(file), SerializationError);
+  for (const std::vector<std::string>& argv :
+       {std::vector<std::string>{"info", file}, std::vector<std::string>{"estimate", file},
+        std::vector<std::string>{"push", "--to", "127.0.0.1:1", file}}) {
+    auto [code, out] = invoke(argv);
+    EXPECT_EQ(code, 1) << argv[0] << ": " << out;
+    EXPECT_NE(out.find("not a framed"), std::string::npos) << argv[0] << ": " << out;
+  }
+}
+
+TEST_F(CliTest, WalInspectAndDumpShowTheChainAndItsTornTail) {
+  std::string tmpl = dir_ + "/ustream_cli_wal_XXXXXX";
+  const std::string wal_dir = ::mkdtemp(tmpl.data());
+  {
+    durability::DurableLog::Options options;
+    options.dir = wal_dir;
+    options.fsync = durability::FsyncPolicy::kNever;
+    durability::DurableLog log(options, 2, /*run_id=*/9);
+    for (std::uint32_t site = 0; site < 2; ++site) {
+      F0Estimator est(EstimatorParams{.capacity = 64, .copies = 3, .seed = 8});
+      est.add(site);
+      log.log_accepted(site, 1, frame_encode({PayloadKind::kF0Estimator, site, 1},
+                                             est.serialize()));
+    }
+  }
+  // A crash mid-append strands a partial record at the tail.
+  const std::string segment = wal_dir + "/" + durability::wal_segment_name(0, 0);
+  std::FILE* f = std::fopen(segment.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  const char partial[] = {0x40, 0x00, 0x00};
+  std::fwrite(partial, 1, sizeof(partial), f);
+  std::fclose(f);
+
+  auto [code, out] = invoke({"wal", "inspect", "--dir", wal_dir});
+  EXPECT_EQ(code, 0) << out;
+  EXPECT_NE(out.find("1 segment(s), 0 snapshot(s)"), std::string::npos) << out;
+  EXPECT_NE(out.find("shard 0 seq 0 watermark 0"), std::string::npos) << out;
+  auto [dcode, dout] = invoke({"wal", "dump", "--dir", wal_dir, "--json"});
+  EXPECT_EQ(dcode, 0) << dout;
+  EXPECT_NE(dout.find("\"site\":0,\"epoch\":1,\"kind\":\"f0-estimator\""), std::string::npos)
+      << dout;
+  EXPECT_NE(dout.find("\"site\":1,\"epoch\":1,\"kind\":\"f0-estimator\""), std::string::npos)
+      << dout;
+  EXPECT_NE(dout.find("\"torn_tails\":1"), std::string::npos) << dout;
+  std::filesystem::remove_all(wal_dir);
 }
 
 TEST_F(CliTest, CorruptedSketchFileIsRejectedByChecksum) {

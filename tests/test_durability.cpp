@@ -63,11 +63,10 @@ std::vector<std::uint8_t> make_frame(std::uint32_t site, std::uint32_t epoch,
   return frame_encode({PayloadKind::kOpaque, site, epoch}, payload);
 }
 
-WalConfig test_config(const std::string& dir, std::uint32_t shard = 0) {
+WalConfig test_config(const std::string& dir) {
   WalConfig config;
   config.dir = dir;
   config.run_id = 0xfeedULL;
-  config.shard = shard;
   config.fsync = FsyncPolicy::kNever;  // tests survive process exit, not power loss
   return config;
 }
@@ -91,6 +90,19 @@ void write_all(const std::string& path, const std::vector<std::uint8_t>& bytes) 
   ASSERT_NE(f, nullptr) << path;
   ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
   std::fclose(f);
+}
+
+// A segment as builds that kept one chain per referee shard wrote it:
+// header with `shard` in its shard field, then [u32 len][frame] records.
+void write_old_segment(const std::string& dir, std::uint32_t shard, std::uint32_t seq,
+                       const std::vector<std::vector<std::uint8_t>>& frames) {
+  std::vector<std::uint8_t> bytes = durability::encode_wal_header(0xfeedULL, shard, seq, 0);
+  for (const auto& frame : frames) {
+    const auto len = static_cast<std::uint32_t>(frame.size());
+    for (int b = 0; b < 4; ++b) bytes.push_back(static_cast<std::uint8_t>(len >> (8 * b)));
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  write_all(dir + "/" + durability::wal_segment_name(shard, seq), bytes);
 }
 
 TEST(WalBasics, FsyncPolicyNamesRoundTrip) {
@@ -356,13 +368,11 @@ TEST(Recovery, ExactlyOnceKeepsFirstAcrossShardFiles) {
   const auto winner = make_frame(0, 1, 31);
   const auto loser = make_frame(0, 1, 32);
   {
-    WalWriter w0(test_config(dir.path, 0), 0, 0);
+    WalWriter w0(test_config(dir.path), 0, 0);
     w0.append(winner);
     w0.sync();
-    WalWriter w1(test_config(dir.path, 1), 0, 0);
-    w1.append(loser);
-    w1.sync();
   }
+  write_old_segment(dir.path, /*shard=*/1, /*seq=*/0, {loser});
   RecoveryOptions options;
   options.dir = dir.path;
   options.sites = 1;
@@ -408,9 +418,9 @@ TEST(DurableLog, ResumeContinuesChainsAndAccumulatesSites) {
   const auto f1 = make_frame(1, 1, 52);
   const auto f2 = make_frame(2, 1, 53);
   {
-    DurableLog log(options, 3, 2, /*run_id=*/77);
-    log.log_accepted(0, 0, 1, f0);
-    log.log_accepted(1, 1, 1, f1);
+    DurableLog log(options, 3, /*run_id=*/77);
+    log.log_accepted(0, 1, f0);
+    log.log_accepted(1, 1, f1);
     EXPECT_EQ(log.records_logged(), 2u);
   }  // "crash": destructor syncs, but nothing else happens
 
@@ -424,8 +434,8 @@ TEST(DurableLog, ResumeContinuesChainsAndAccumulatesSites) {
   EXPECT_EQ(recovered.run_id, 77u);
 
   {
-    DurableLog log(options, 3, 2, std::move(recovered));
-    log.log_accepted(0, 2, 1, f2);
+    DurableLog log(options, 3, std::move(recovered));
+    log.log_accepted(2, 1, f2);
   }
   const RecoveryResult final_state = durability::recover_referee_state(rec);
   EXPECT_EQ(final_state.sites_recovered(), 3u);
@@ -434,7 +444,7 @@ TEST(DurableLog, ResumeContinuesChainsAndAccumulatesSites) {
   EXPECT_EQ(final_state.sites[0]->frame, f0);
   EXPECT_EQ(final_state.sites[1]->frame, f1);
   EXPECT_EQ(final_state.sites[2]->frame, f2);
-  // Resumed writers continued the per-shard chains; no file collisions.
+  // The resumed writer continued the chain; no file collisions.
   const auto segments = durability::scan_wal_segments(dir.path);
   for (const auto& seg : segments) EXPECT_TRUE(seg.header_valid);
 }
@@ -443,8 +453,8 @@ TEST(DurableLog, FreshLogOnDirtyDirThrows) {
   TempDir dir;
   DurableLog::Options options;
   options.dir = dir.path;
-  { DurableLog log(options, 1, 1, /*run_id=*/1); }
-  EXPECT_THROW(DurableLog(options, 1, 1, /*run_id=*/2), InvalidArgument);
+  { DurableLog log(options, 1, /*run_id=*/1); }
+  EXPECT_THROW(DurableLog(options, 1, /*run_id=*/2), InvalidArgument);
 }
 
 TEST(DurableLog, SnapshotCompactsAndCoversSegments) {
@@ -456,9 +466,9 @@ TEST(DurableLog, SnapshotCompactsAndCoversSegments) {
   const auto f0 = make_frame(0, 1, 61);
   const auto f1 = make_frame(1, 1, 62);
   {
-    DurableLog log(options, 2, 1, /*run_id=*/5);
-    log.log_accepted(0, 0, 1, f0);
-    log.log_accepted(0, 1, 1, f1);
+    DurableLog log(options, 2, /*run_id=*/5);
+    log.log_accepted(0, 1, f0);
+    log.log_accepted(1, 1, f1);
     EXPECT_EQ(log.snapshots_written(), 1u);
   }
   // Delete every segment: the snapshot alone must recover both sites —
@@ -478,12 +488,51 @@ TEST(DurableLog, SnapshotCompactsAndCoversSegments) {
   EXPECT_EQ(result.sites[1]->frame, f1);
 }
 
+// A dir an older build wrote holds one chain per shard, and its resumed
+// referee preloads every recovered head. The delta that run accepts next is
+// logged past every old segment, so it replays after its base even when the
+// base sits in another shard's chain — an acked delta is never lost.
+TEST(DurableLog, DeltaLoggedAfterResumingAMultiChainDirReplaysOnItsBase) {
+  TempDir dir;
+  F0Estimator est(EstimatorParams::for_guarantee(0.2, 0.1, 65));
+  Xoshiro256 rng(66);
+  for (int i = 0; i < 2000; ++i) est.add(rng.next());
+  const F0Estimator base = est;
+  const auto full = frame_encode({PayloadKind::kF0Estimator, 0, 1}, base.serialize());
+  write_old_segment(dir.path, /*shard=*/1, /*seq=*/0, {full});
+
+  RecoveryOptions rec;
+  rec.dir = dir.path;
+  rec.sites = 1;
+  rec.expected_kind = PayloadKind::kF0Estimator;
+  rec.dedup = DedupMode::kLatestWins;
+  rec.delta_kind = PayloadKind::kF0Delta;
+  for (int i = 0; i < 1500; ++i) est.add(rng.next());
+  const auto delta = frame_encode({PayloadKind::kF0Delta, 0, 2}, est.serialize_delta(base));
+  {
+    DurableLog::Options options;
+    options.dir = dir.path;
+    options.fsync = FsyncPolicy::kNever;
+    DurableLog log(options, 1, durability::recover_referee_state(rec));
+    ASSERT_EQ(log.recovered().sites_recovered(), 1u);
+    log.log_accepted(0, 2, delta, /*is_delta=*/true);
+  }
+
+  const RecoveryResult result = durability::recover_referee_state(rec);
+  ASSERT_TRUE(result.sites[0].has_value());
+  EXPECT_EQ(result.sites[0]->epoch, 2u);
+  EXPECT_EQ(result.sites[0]->frame, full);
+  ASSERT_EQ(result.sites[0]->deltas.size(), 1u);
+  EXPECT_EQ(result.sites[0]->deltas[0], delta);
+  EXPECT_EQ(result.frames_replayed, 2u);
+  EXPECT_EQ(result.frames_superseded, 0u);
+}
+
 // Crash-resume through the real server: push a subset of sites into a
 // WAL-backed referee, stop it mid-collection, recover into a second server
 // on the same dir, push the rest (plus a duplicate), and require the
 // collected per-site payloads to be byte-identical to an uninterrupted
-// run. Run at 1 and 4 shards — the per-shard WAL files must fold back
-// into one state.
+// run. Run at 1 and 4 shards — every shard logs to the one WAL chain.
 void crash_resume_round_trip(std::size_t shards) {
   constexpr std::size_t kSites = 4;
   std::vector<std::vector<std::uint8_t>> payloads;

@@ -293,9 +293,9 @@ TEST(EventLoop, RefereeAcceptStormMidRound) {
   EXPECT_EQ(result.report.sites_reported, kSites);
   EXPECT_EQ(result.report.duplicates_dropped, 0u);
   ASSERT_EQ(result.shards.size(), 2u);
-  std::size_t shard_sum = 0;
-  for (const auto& shard : result.shards) shard_sum += shard.report.sites_reported;
-  EXPECT_EQ(shard_sum, kSites);
+  std::uint64_t shard_frames = 0;
+  for (const auto& shard : result.shards) shard_frames += shard.messages;
+  EXPECT_EQ(shard_frames, kSites);
 }
 
 }  // namespace

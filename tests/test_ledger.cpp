@@ -3,11 +3,11 @@
 // Differential: one seeded frame sequence — duplicates, stale epochs,
 // gaps, full frames and real F0 deltas, group re-tags, CRC-broken bytes
 // and CRC-valid payloads that cannot decode or merge — is fed to the
-// in-process ledger and to a 1-shard RefereeServer over one loopback
-// connection with a WAL. Both must give the same verdict per frame (the
-// server's ack bytes), end with the same CollectReport and the same store
-// bytes, and recovery over the server's WAL must reproduce its per-site
-// (epoch, group).
+// in-process ledger and to a WAL-backed RefereeServer: at 1 shard over one
+// loopback connection, and at 4 shards over a fresh connection per frame.
+// Both must give the same verdict per frame (the server's ack bytes), end
+// with the same CollectReport and the same store bytes, and recovery over
+// the server's WAL must reproduce its per-site (epoch, group).
 //
 // Memory: a DurableLog without snapshots retains no frame bytes, and a
 // resumed referee drops the recovered ones once it has replayed them.
@@ -183,95 +183,168 @@ std::vector<std::optional<std::vector<std::uint8_t>>> store_bytes(
   return out;
 }
 
+// (a) the in-process ledger over one sequence: its verdicts, report and
+// store bytes.
+struct LedgerRun {
+  std::vector<std::uint8_t> verdicts;
+  CollectReport report;
+  std::vector<std::optional<std::vector<std::uint8_t>>> store;
+};
+
+LedgerRun run_ledger(const Sequence& seq) {
+  CollectState ledger(seq.sites, PayloadKind::kF0Estimator, seq.mode);
+  if (seq.mode == DedupMode::kLatestWins) ledger.enable_deltas(PayloadKind::kF0Delta);
+  SiteSketchStore<F0Estimator> store(seq.sites);
+  LedgerRun run;
+  for (const auto& bytes : seq.frames) {
+    if (auto site = claimed_site(bytes, seq.sites)) ledger.record_send(*site);
+    const Verdict v = ledger.admit(bytes, [&store](Frame& f) {
+      return store.accept(f.header.site, f.header.group, f.header.kind, f.payload);
+    });
+    run.verdicts.push_back(static_cast<std::uint8_t>(v));
+  }
+  ledger.finalize(std::numeric_limits<std::uint32_t>::max());
+  run.report = ledger.report();
+  run.store = store_bytes(store);
+  return run;
+}
+
+// Sends one [len][frame] unit and reads its ack byte.
+std::uint8_t send_frame(net::Socket& sock, const std::vector<std::uint8_t>& bytes) {
+  const auto len = static_cast<std::uint32_t>(bytes.size());
+  const std::uint8_t prefix[4] = {
+      static_cast<std::uint8_t>(len), static_cast<std::uint8_t>(len >> 8),
+      static_cast<std::uint8_t>(len >> 16), static_cast<std::uint8_t>(len >> 24)};
+  net::send_all(sock, prefix);
+  net::send_all(sock, bytes);
+  std::uint8_t ack = 0;
+  net::recv_exact(sock, std::span<std::uint8_t>(&ack, 1));
+  return ack;
+}
+
+net::Socket connect_to(std::uint16_t port) {
+  return net::connect_tcp("127.0.0.1", port, std::chrono::milliseconds{2000},
+                          std::chrono::milliseconds{2000});
+}
+
+// (b) a TCP referee with a WAL in `dir` over the same sequence, frame after
+// frame (each acked before the next is sent): over one connection, or over
+// a fresh connection per frame, which SO_REUSEPORT spreads across shards.
+struct TcpRun {
+  std::vector<std::uint8_t> acks;
+  net::RefereeServer::Result result;
+  std::vector<std::optional<std::vector<std::uint8_t>>> store;
+};
+
+TcpRun run_tcp_referee(const Sequence& seq, const std::string& dir, std::size_t shards,
+                       bool connection_per_frame) {
+  net::RefereeServerConfig config;
+  config.sites = seq.sites;
+  config.shards = shards;
+  config.dedup = seq.mode;
+  if (seq.mode == DedupMode::kLatestWins) config.delta_kind = PayloadKind::kF0Delta;
+  config.continuous = true;
+  config.timeout = std::chrono::milliseconds{30'000};
+  config.wal = net::RefereeServerConfig::Durability{};
+  config.wal->dir = dir;
+  config.wal->fsync = durability::FsyncPolicy::kNever;
+  net::RefereeServer server(std::move(config));
+  SiteSketchStore<F0Estimator> store(seq.sites);
+  TcpRun run;
+  std::thread referee([&] {
+    run.result = server.run([&store](std::size_t site, std::uint32_t, std::uint16_t group,
+                                     PayloadKind kind, std::vector<std::uint8_t>&& payload) {
+      return store.accept(site, group, kind, payload);
+    });
+  });
+  if (connection_per_frame) {
+    for (const auto& bytes : seq.frames) {
+      net::Socket sock = connect_to(server.port());
+      run.acks.push_back(send_frame(sock, bytes));
+    }
+  } else {
+    net::Socket sock = connect_to(server.port());
+    for (const auto& bytes : seq.frames) run.acks.push_back(send_frame(sock, bytes));
+  }
+  server.request_stop();
+  referee.join();
+  run.store = store_bytes(store);
+  return run;
+}
+
+// Recovery over a referee's WAL reproduces its per-site (epoch, group).
+void expect_recovery_matches(const Sequence& seq, const std::string& dir,
+                             const CollectReport& live_report, const std::string& where) {
+  durability::RecoveryOptions rec;
+  rec.dir = dir;
+  rec.sites = seq.sites;
+  rec.expected_kind = PayloadKind::kF0Estimator;
+  rec.dedup = seq.mode;
+  if (seq.mode == DedupMode::kLatestWins) rec.delta_kind = PayloadKind::kF0Delta;
+  const durability::RecoveryResult recovered = durability::recover_referee_state(rec);
+  for (std::size_t s = 0; s < seq.sites; ++s) {
+    const SiteCollectStatus& live = live_report.per_site[s];
+    ASSERT_EQ(recovered.sites[s].has_value(), live.reported) << where << " site " << s;
+    if (!live.reported) continue;
+    EXPECT_EQ(recovered.sites[s]->epoch, live.accepted_epoch) << where << " site " << s;
+    EXPECT_EQ(frame_decode(recovered.sites[s]->frame).header.group, live.group)
+        << where << " site " << s;
+  }
+}
+
 TEST(LedgerDifferential, InProcessAndTcpRefereeGiveTheSameVerdicts) {
   constexpr std::uint64_t kSequences = 200;
   std::map<std::uint8_t, std::size_t> seen;  // verdict -> count over all sequences
   for (std::uint64_t seed = 1; seed <= kSequences; ++seed) {
     const Sequence seq = make_sequence(seed);
     const std::string where = "seed " + std::to_string(seed);
-    const bool deltas = seq.mode == DedupMode::kLatestWins;
+    const LedgerRun ledger = run_ledger(seq);
+    for (const std::uint8_t v : ledger.verdicts) seen[v] += 1;
 
-    // (a) the in-process ledger.
-    CollectState ledger(seq.sites, PayloadKind::kF0Estimator, seq.mode);
-    if (deltas) ledger.enable_deltas(PayloadKind::kF0Delta);
-    SiteSketchStore<F0Estimator> store_a(seq.sites);
-    std::vector<std::uint8_t> verdicts;
-    for (const auto& bytes : seq.frames) {
-      if (auto site = claimed_site(bytes, seq.sites)) ledger.record_send(*site);
-      const Verdict v = ledger.admit(bytes, [&store_a](Frame& f) {
-        return store_a.accept(f.header.site, f.header.group, f.header.kind, f.payload);
-      });
-      verdicts.push_back(static_cast<std::uint8_t>(v));
-      seen[static_cast<std::uint8_t>(v)] += 1;
-    }
-    ledger.finalize(std::numeric_limits<std::uint32_t>::max());
-
-    // (b) a 1-shard TCP referee with a WAL, one connection.
+    // A 1-shard referee, one connection.
     TempDir dir;
-    net::RefereeServerConfig config;
-    config.sites = seq.sites;
-    config.dedup = seq.mode;
-    if (deltas) config.delta_kind = PayloadKind::kF0Delta;
-    config.continuous = true;
-    config.timeout = std::chrono::milliseconds{30'000};
-    config.wal = net::RefereeServerConfig::Durability{};
-    config.wal->dir = dir.path;
-    config.wal->fsync = durability::FsyncPolicy::kNever;
-    net::RefereeServer server(std::move(config));
-    SiteSketchStore<F0Estimator> store_b(seq.sites);
-    net::RefereeServer::Result result;
-    std::thread referee([&] {
-      result = server.run([&store_b](std::size_t site, std::uint32_t, std::uint16_t group,
-                                     PayloadKind kind, std::vector<std::uint8_t>&& payload) {
-        return store_b.accept(site, group, kind, payload);
-      });
-    });
-    std::vector<std::uint8_t> acks;
-    {
-      net::Socket sock = net::connect_tcp("127.0.0.1", server.port(),
-                                          std::chrono::milliseconds{2000},
-                                          std::chrono::milliseconds{2000});
-      for (const auto& bytes : seq.frames) {
-        const auto len = static_cast<std::uint32_t>(bytes.size());
-        const std::uint8_t prefix[4] = {
-            static_cast<std::uint8_t>(len), static_cast<std::uint8_t>(len >> 8),
-            static_cast<std::uint8_t>(len >> 16), static_cast<std::uint8_t>(len >> 24)};
-        net::send_all(sock, prefix);
-        net::send_all(sock, bytes);
-        std::uint8_t ack = 0;
-        net::recv_exact(sock, std::span<std::uint8_t>(&ack, 1));
-        acks.push_back(ack);
-      }
-    }
-    server.request_stop();
-    referee.join();
-
-    EXPECT_EQ(acks, verdicts) << where;
-    expect_same_report(ledger.report(), result.report, where);
-    EXPECT_EQ(store_bytes(store_a), store_bytes(store_b)) << where;
-
-    // Recovery over (b)'s WAL reproduces its per-site (epoch, group).
-    durability::RecoveryOptions rec;
-    rec.dir = dir.path;
-    rec.sites = seq.sites;
-    rec.expected_kind = PayloadKind::kF0Estimator;
-    rec.dedup = seq.mode;
-    if (deltas) rec.delta_kind = PayloadKind::kF0Delta;
-    const durability::RecoveryResult recovered = durability::recover_referee_state(rec);
-    for (std::size_t s = 0; s < seq.sites; ++s) {
-      const SiteCollectStatus& live = result.report.per_site[s];
-      ASSERT_EQ(recovered.sites[s].has_value(), live.reported) << where << " site " << s;
-      if (!live.reported) continue;
-      EXPECT_EQ(recovered.sites[s]->epoch, live.accepted_epoch) << where << " site " << s;
-      EXPECT_EQ(frame_decode(recovered.sites[s]->frame).header.group, live.group)
-          << where << " site " << s;
-    }
+    const TcpRun tcp = run_tcp_referee(seq, dir.path, 1, /*connection_per_frame=*/false);
+    EXPECT_EQ(tcp.acks, ledger.verdicts) << where;
+    expect_same_report(ledger.report, tcp.result.report, where);
+    EXPECT_EQ(ledger.store, tcp.store) << where;
+    expect_recovery_matches(seq, dir.path, tcp.result.report, where);
     if (::testing::Test::HasFailure()) break;  // one failing seed is enough output
   }
   // The generator reaches every verdict, refusals included.
   for (const char v : {'A', 'D', 'S', 'Q', 'R'}) {
     EXPECT_GT(seen[static_cast<std::uint8_t>(v)], 20u) << v;
   }
+}
+
+// The same sequences at 4 shards, one fresh connection per frame, so
+// consecutive frames — a delta and its base included — land on different
+// shards. The verdicts are still the one ledger's, frame by frame: no rule
+// depends on the shard a frame arrives on, and the one WAL chain replays
+// every acked delta after its base.
+TEST(LedgerDifferential, FourShardRefereeGivesTheOneLedgersVerdicts) {
+  constexpr std::uint64_t kSequences = 100;
+  std::size_t spread = 0;  // sequences whose frames reached >= 2 shards
+  for (std::uint64_t seed = 1; seed <= kSequences; ++seed) {
+    const Sequence seq = make_sequence(seed);
+    const std::string where = "seed " + std::to_string(seed);
+    const LedgerRun ledger = run_ledger(seq);
+
+    TempDir dir;
+    const TcpRun tcp = run_tcp_referee(seq, dir.path, 4, /*connection_per_frame=*/true);
+    EXPECT_EQ(tcp.acks, ledger.verdicts) << where;
+    expect_same_report(ledger.report, tcp.result.report, where);
+    EXPECT_EQ(ledger.store, tcp.store) << where;
+    expect_recovery_matches(seq, dir.path, tcp.result.report, where);
+    for (const auto& segment : durability::scan_wal_segments(dir.path)) {
+      EXPECT_EQ(segment.shard, 0u) << where << " " << segment.path;
+    }
+    ASSERT_EQ(tcp.result.shards.size(), 4u);
+    std::size_t reached = 0;
+    for (const ChannelStats& shard : tcp.result.shards) reached += shard.messages > 0 ? 1 : 0;
+    if (reached >= 2) spread += 1;
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_GT(spread, kSequences / 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -293,10 +366,10 @@ durability::DurableLog::Options log_options(const std::string& dir, std::uint64_
 
 TEST(DurableLogMemory, SnapshotLessLogRetainsNoFrameBytes) {
   TempDir dir;
-  durability::DurableLog log(log_options(dir.path, 0), 4, 1, /*run_id=*/1);
+  durability::DurableLog log(log_options(dir.path, 0), 4, /*run_id=*/1);
   for (std::uint32_t epoch = 1; epoch <= 50; ++epoch) {
     for (std::uint32_t site = 0; site < 4; ++site) {
-      log.log_accepted(0, site, epoch, sketch_frame(site, epoch));
+      log.log_accepted(site, epoch, sketch_frame(site, epoch));
     }
   }
   EXPECT_EQ(log.records_logged(), 200u);
@@ -306,13 +379,13 @@ TEST(DurableLogMemory, SnapshotLessLogRetainsNoFrameBytes) {
 
 TEST(DurableLogMemory, SnapshottingLogRetainsOneChainPerSite) {
   TempDir dir;
-  durability::DurableLog log(log_options(dir.path, 1000), 4, 1, /*run_id=*/1);
+  durability::DurableLog log(log_options(dir.path, 1000), 4, /*run_id=*/1);
   std::uint64_t newest = 0;
   for (std::uint32_t epoch = 1; epoch <= 50; ++epoch) {
     newest = 0;
     for (std::uint32_t site = 0; site < 4; ++site) {
       const auto frame = sketch_frame(site, epoch);
-      log.log_accepted(0, site, epoch, frame);
+      log.log_accepted(site, epoch, frame);
       newest += frame.size();
     }
   }
@@ -322,9 +395,9 @@ TEST(DurableLogMemory, SnapshottingLogRetainsOneChainPerSite) {
 TEST(DurableLogMemory, ResumedRefereeDropsRecoveredFramesAfterPreload) {
   TempDir dir;
   {
-    durability::DurableLog log(log_options(dir.path, 0), 2, 1, /*run_id=*/1);
-    log.log_accepted(0, 0, 1, sketch_frame(0, 1));
-    log.log_accepted(0, 1, 1, sketch_frame(1, 1));
+    durability::DurableLog log(log_options(dir.path, 0), 2, /*run_id=*/1);
+    log.log_accepted(0, 1, sketch_frame(0, 1));
+    log.log_accepted(1, 1, sketch_frame(1, 1));
   }
   net::RefereeServerConfig config;
   config.sites = 2;

@@ -533,33 +533,32 @@ TEST(NetAdmin, QueryEndpointWithoutHandlerReportsDisabled) {
 }
 
 // ---------------------------------------------------------------------------
-// The acceptance ledger every referee shares: one verdict per frame, a sink
-// refusal that leaves the site's entry as it was, and the head-shard rule
-// for deltas at N shards.
+// The acceptance ledger every referee shares: one verdict per frame, and a
+// sink refusal that leaves the site's entry as it was.
 
 std::vector<std::uint8_t> frame_bytes(std::uint32_t site, std::uint32_t epoch,
                                       PayloadKind kind = PayloadKind::kF0Estimator) {
   return frame_encode({kind, site, epoch}, std::vector<std::uint8_t>{1, 2, 3});
 }
 
-// Admits one frame on `shard` with a sink that takes (or refuses) it.
-Verdict admit_on(CollectState& ledger, const std::vector<std::uint8_t>& bytes,
-                 std::uint32_t shard, bool take = true) {
+// Admits one frame with a sink that takes (or refuses) it.
+Verdict admit_one(CollectState& ledger, const std::vector<std::uint8_t>& bytes,
+                  bool take = true) {
   Frame frame = frame_decode(bytes);
-  return ledger.admit(frame, [take](Frame&) { return take; }, shard);
+  return ledger.admit(frame, [take](Frame&) { return take; });
 }
 
 TEST(CollectLedger, VerdictsAreTheAckBytes) {
   CollectState ledger(2, PayloadKind::kF0Estimator, DedupMode::kLatestWins);
   ledger.enable_deltas(PayloadKind::kF0Delta);
   const auto ack = [](Verdict v) { return static_cast<PushAck>(v); };
-  EXPECT_EQ(ack(admit_on(ledger, frame_bytes(0, 4), 0)), PushAck::kAccepted);
-  EXPECT_EQ(ack(admit_on(ledger, frame_bytes(0, 4), 0)), PushAck::kDuplicate);
-  EXPECT_EQ(ack(admit_on(ledger, frame_bytes(0, 2), 0)), PushAck::kStale);
+  EXPECT_EQ(ack(admit_one(ledger, frame_bytes(0, 4))), PushAck::kAccepted);
+  EXPECT_EQ(ack(admit_one(ledger, frame_bytes(0, 4))), PushAck::kDuplicate);
+  EXPECT_EQ(ack(admit_one(ledger, frame_bytes(0, 2))), PushAck::kStale);
   EXPECT_EQ(ack(ledger.admit(std::vector<std::uint8_t>(64, 0xAB),
                              [](Frame&) { return true; })),
             PushAck::kQuarantined);
-  EXPECT_EQ(ack(admit_on(ledger, frame_bytes(1, 1, PayloadKind::kF0Delta), 0)),
+  EXPECT_EQ(ack(admit_one(ledger, frame_bytes(1, 1, PayloadKind::kF0Delta))),
             PushAck::kResync);
   const CollectReport& report = ledger.report();
   EXPECT_EQ(report.sites_reported, 1u);
@@ -572,95 +571,47 @@ TEST(CollectLedger, VerdictsAreTheAckBytes) {
 TEST(CollectLedger, RefusedFullFrameLeavesTheEntryAsItWas) {
   CollectState ledger(2, PayloadKind::kF0Estimator, DedupMode::kLatestWins);
   // A refused first frame: Q, and the site stays open for a retry.
-  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 5), 0, /*take=*/false), Verdict::kQuarantined);
+  EXPECT_EQ(admit_one(ledger, frame_bytes(0, 5), /*take=*/false), Verdict::kQuarantined);
   EXPECT_FALSE(ledger.site_reported(0));
   EXPECT_EQ(ledger.report().sites_reported, 0u);
   // A refused newer frame: Q, and the site stays reported at the epoch
   // the sink still holds.
-  ASSERT_EQ(admit_on(ledger, frame_bytes(1, 3), 0), Verdict::kAccepted);
-  EXPECT_EQ(admit_on(ledger, frame_bytes(1, 7), 0, /*take=*/false), Verdict::kQuarantined);
+  ASSERT_EQ(admit_one(ledger, frame_bytes(1, 3)), Verdict::kAccepted);
+  EXPECT_EQ(admit_one(ledger, frame_bytes(1, 7), /*take=*/false), Verdict::kQuarantined);
   EXPECT_TRUE(ledger.site_reported(1));
   EXPECT_EQ(ledger.report().sites_reported, 1u);
   EXPECT_EQ(ledger.report().per_site[1].accepted_epoch, 3u);
   EXPECT_EQ(ledger.report().frames_quarantined, 2u);
   // The retransmission the Q asked for is judged against that entry.
-  EXPECT_EQ(admit_on(ledger, frame_bytes(1, 7), 0), Verdict::kAccepted);
+  EXPECT_EQ(admit_one(ledger, frame_bytes(1, 7)), Verdict::kAccepted);
   EXPECT_EQ(ledger.report().per_site[1].accepted_epoch, 7u);
 }
 
 TEST(CollectLedger, RefusedDeltaCountsOneResyncAndNoQuarantine) {
   CollectState ledger(1, PayloadKind::kF0Estimator, DedupMode::kLatestWins);
   ledger.enable_deltas(PayloadKind::kF0Delta);
-  ASSERT_EQ(admit_on(ledger, frame_bytes(0, 1), 0), Verdict::kAccepted);
-  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 2, PayloadKind::kF0Delta), 0, false),
+  ASSERT_EQ(admit_one(ledger, frame_bytes(0, 1)), Verdict::kAccepted);
+  EXPECT_EQ(admit_one(ledger, frame_bytes(0, 2, PayloadKind::kF0Delta), false),
             Verdict::kResync);
   EXPECT_EQ(ledger.report().resyncs, 1u);
   EXPECT_EQ(ledger.report().frames_quarantined, 0u);
   EXPECT_EQ(ledger.report().deltas_applied, 0u);
   EXPECT_EQ(ledger.report().per_site[0].accepted_epoch, 1u);
   // The chain is intact: the next good delta at the same epoch extends it.
-  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 2, PayloadKind::kF0Delta), 0), Verdict::kAccepted);
+  EXPECT_EQ(admit_one(ledger, frame_bytes(0, 2, PayloadKind::kF0Delta)), Verdict::kAccepted);
   EXPECT_EQ(ledger.report().deltas_applied, 1u);
-}
-
-TEST(CollectLedger, DeltaOnAnotherShardThanTheHeadGetsResync) {
-  CollectState ledger(1, PayloadKind::kF0Estimator, DedupMode::kLatestWins);
-  ledger.enable_deltas(PayloadKind::kF0Delta);
-  ASSERT_EQ(admit_on(ledger, frame_bytes(0, 1), /*shard=*/1), Verdict::kAccepted);
-  // WAL replay orders records by (shard, seq): a delta logged on shard 0
-  // would replay before its base on shard 1, so shard 0 must refuse it.
-  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 2, PayloadKind::kF0Delta), 0), Verdict::kResync);
-  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 2, PayloadKind::kF0Delta), 1), Verdict::kAccepted);
-  // A full frame is accepted on any shard and moves the head with it.
-  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 3), 0), Verdict::kAccepted);
-  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 4, PayloadKind::kF0Delta), 1), Verdict::kResync);
-  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 4, PayloadKind::kF0Delta), 0), Verdict::kAccepted);
-  // Full frames get the verdicts a single loop gives, whatever the shard.
-  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 4), 1), Verdict::kDuplicate);
-  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 3), 1), Verdict::kStale);
-  EXPECT_EQ(ledger.report().resyncs, 2u);
-  EXPECT_EQ(ledger.report().deltas_applied, 2u);
-}
-
-TEST(CollectLedger, ShardViewHoldsTheSitesWhoseHeadTheShardAccepted) {
-  CollectState ledger(3, PayloadKind::kF0Estimator, DedupMode::kLatestWins);
-  // Site 0 first lands on shard 0, then a newer epoch on shard 1; its
-  // retransmission across shards is still one retry in the one ledger.
-  ledger.record_send(0);
-  ASSERT_EQ(admit_on(ledger, frame_bytes(0, 2), 0), Verdict::kAccepted);
-  ledger.record_send(0);
-  ASSERT_EQ(admit_on(ledger, frame_bytes(0, 5), 1), Verdict::kAccepted);
-  ledger.record_send(1);
-  ASSERT_EQ(admit_on(ledger, frame_bytes(1, 0), 0), Verdict::kAccepted);
-  EXPECT_EQ(ledger.report().retries, 1u);
-  EXPECT_EQ(ledger.report().missing_sites(), (std::vector<std::size_t>{2}));
-
-  const CollectReport zero = ledger.shard_view(0);
-  const CollectReport one = ledger.shard_view(1);
-  const CollectReport idle = ledger.shard_view(2);
-  EXPECT_EQ(zero.sites_reported, 1u);
-  EXPECT_TRUE(zero.per_site[1].reported);
-  EXPECT_FALSE(zero.per_site[0].reported);
-  EXPECT_EQ(one.sites_reported, 1u);
-  EXPECT_EQ(one.per_site[0].accepted_epoch, 5u);
-  EXPECT_EQ(idle.sites_reported, 0u);
-  EXPECT_EQ(idle.missing_sites(), (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_EQ(zero.sites_reported + one.sites_reported + idle.sites_reported,
-            ledger.report().sites_reported);
 }
 
 TEST(CollectLedger, CrossShardDuplicateCountsTheSiteOnce) {
   CollectState ledger(2, PayloadKind::kF0Estimator, DedupMode::kExactlyOnce);
   ledger.record_send(0);
-  ASSERT_EQ(admit_on(ledger, frame_bytes(0, 0), 0), Verdict::kAccepted);
+  ASSERT_EQ(admit_one(ledger, frame_bytes(0, 0)), Verdict::kAccepted);
   ledger.record_send(0);
-  EXPECT_EQ(admit_on(ledger, frame_bytes(0, 0), 1), Verdict::kDuplicate);
+  EXPECT_EQ(admit_one(ledger, frame_bytes(0, 0)), Verdict::kDuplicate);
   EXPECT_EQ(ledger.report().sites_reported, 1u);
   EXPECT_EQ(ledger.report().per_site[0].attempts, 2u);
   EXPECT_EQ(ledger.report().duplicates_dropped, 1u);
   EXPECT_EQ(ledger.report().retries, 1u);
-  EXPECT_EQ(ledger.shard_view(0).sites_reported, 1u);
-  EXPECT_EQ(ledger.shard_view(1).sites_reported, 0u);
 }
 
 // A newer full frame the store refuses (another seed: it cannot merge with
@@ -705,7 +656,6 @@ TEST(NetReferee, RefusedNewerFrameKeepsTheSiteReported) {
   EXPECT_TRUE(result.report.per_site[0].reported);
   EXPECT_EQ(result.report.per_site[0].accepted_epoch, 1u);
   EXPECT_EQ(result.report.frames_quarantined, 4u);
-  EXPECT_EQ(result.shards[0].report.sites_reported, 1u);
 }
 
 TEST(NetReferee, BindAllInterfacesAcceptsLoopbackClients) {
@@ -792,8 +742,8 @@ TEST(NetShardedReferee, ShardedServerIsByteIdenticalToSequentialReferee) {
   std::size_t shard_frames = 0;
   std::uint64_t shard_bytes = 0;
   for (const auto& shard : result.shards) {
-    shard_frames += shard.wire.messages;
-    shard_bytes += shard.wire.total_bytes;
+    shard_frames += shard.messages;
+    shard_bytes += shard.total_bytes;
   }
   EXPECT_EQ(shard_frames, result.wire.messages);
   EXPECT_EQ(shard_bytes, result.wire.total_bytes);
@@ -905,21 +855,6 @@ TEST(NetShardedReferee, LatestWinsEpochOrderHoldsAcrossShards) {
   EXPECT_EQ(result.report.stale_dropped, 1u);
   EXPECT_EQ(result.report.duplicates_dropped, 0u);
   EXPECT_EQ(result.report.per_site[0].accepted_epoch, 5u);
-  // Each accept lives in the ledger of the shard it landed on (epochs 2
-  // and 5 may be on different shards); the fold's epoch-max recovers the
-  // newest. At least one shard holds site 0, and the newest epoch held is 5.
-  std::uint32_t newest = 0;
-  std::size_t holders = 0;
-  for (const auto& shard : result.shards) {
-    if (shard.report.per_site[0].reported) {
-      ++holders;
-      if (shard.report.per_site[0].accepted_epoch > newest) {
-        newest = shard.report.per_site[0].accepted_epoch;
-      }
-    }
-  }
-  EXPECT_GE(holders, 1u);
-  EXPECT_EQ(newest, 5u);
 }
 
 TEST(NetShardedReferee, GroupedCollectionIsByteIdenticalAcrossShardCounts) {
@@ -1881,11 +1816,12 @@ TEST(NetDeltaProtocol, AckSequenceDrivesResyncAndChainRepair) {
   EXPECT_EQ(result.report.stale_dropped, 1u);
 }
 
-TEST(NetDeltaProtocol, CrossConnectionDeltaWithoutLocalChainForcesResync) {
-  // A delta arriving on a FRESH connection may land on a shard whose local
-  // ledger never saw the site's full frame: the shard must answer 'R'
-  // (resync) rather than guess — the site then re-bases with a full frame,
-  // which any shard can accept.
+TEST(NetDeltaProtocol, DeltaOverAFreshConnectionExtendsTheChainOnAnyShard) {
+  // A delta arriving on a FRESH connection may land on another shard than
+  // the site's full frame: the one ledger and the one WAL chain make that
+  // irrelevant, so every delta that extends the chain is accepted wherever
+  // the kernel routes its connection.
+  constexpr std::uint32_t kDeltas = 16;
   RefereeServerConfig config;
   config.sites = 1;
   config.shards = 2;
@@ -1919,47 +1855,26 @@ TEST(NetDeltaProtocol, CrossConnectionDeltaWithoutLocalChainForcesResync) {
   Xoshiro256 rng(53);
   for (int i = 0; i < 2000; ++i) est.add(rng.next());
   F0Estimator base = est;
-  {
+  const auto push = [&server](PayloadKind kind, std::uint32_t epoch,
+                              const std::vector<std::uint8_t>& payload) {
     TcpTransport transport(1, client_config(server.port()));
-    EXPECT_EQ(transport.send_with_ack(
-                  0, frame_encode({PayloadKind::kF0Estimator, 0, 1}, base.serialize())),
-              PushAck::kAccepted);
-  }
-  // Push fresh deltas over fresh connections: the kernel spreads the
-  // connections across the SO_REUSEPORT acceptors, so some land on the
-  // shard holding the chain (accepted — the chain advances) and, with
-  // overwhelming probability within the attempt budget, at least one lands
-  // on the other shard, whose local ledger never saw the site: that shard
-  // must demand a resync rather than guess. After every verdict the site's
-  // state stays recoverable via a full re-base.
-  bool saw_resync = false;
-  std::uint32_t epoch = 2;
-  for (int attempt = 0; attempt < 64 && !saw_resync; ++attempt) {
+    return transport.send_with_ack(0, frame_encode({kind, 0, epoch}, payload));
+  };
+  EXPECT_EQ(push(PayloadKind::kF0Estimator, 1, base.serialize()), PushAck::kAccepted);
+  for (std::uint32_t epoch = 2; epoch <= kDeltas + 1; ++epoch) {
     for (int i = 0; i < 200; ++i) est.add(rng.next());
-    const auto delta = est.serialize_delta(base);
-    TcpTransport transport(1, client_config(server.port()));
-    const PushAck ack = transport.send_with_ack(
-        0, frame_encode({PayloadKind::kF0Delta, 0, epoch}, delta));
-    if (ack == PushAck::kResync) {
-      saw_resync = true;
-      // Re-base: the full frame is accepted wherever it lands.
-      TcpTransport rebase(1, client_config(server.port()));
-      EXPECT_EQ(rebase.send_with_ack(
-                    0, frame_encode({PayloadKind::kF0Estimator, 0, epoch + 1},
-                                    est.serialize())),
-                PushAck::kAccepted);
-    } else {
-      ASSERT_EQ(ack, PushAck::kAccepted) << "attempt " << attempt;
-      base = est;
-      ++epoch;
-    }
+    EXPECT_EQ(push(PayloadKind::kF0Delta, epoch, est.serialize_delta(base)), PushAck::kAccepted)
+        << "epoch " << epoch;
+    base = est;
   }
-  EXPECT_TRUE(saw_resync) << "64 fresh connections all landed on the chain's shard";
   server.request_stop();
   referee.join();
 
   ASSERT_TRUE(mirror.has_value());
   EXPECT_EQ(mirror->serialize(), est.serialize());
+  EXPECT_EQ(result.report.deltas_applied, kDeltas);
+  EXPECT_EQ(result.report.resyncs, 0u);
+  EXPECT_EQ(result.report.per_site[0].accepted_epoch, kDeltas + 1);
 }
 
 }  // namespace

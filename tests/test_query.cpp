@@ -973,19 +973,6 @@ TEST(GroupedCollect, DeltaWithChangedGroupForcesResync) {
   EXPECT_EQ(state.report().per_site[0].accepted_epoch, 2u);
 }
 
-TEST(GroupedCollect, ShardViewTakesTheHeadShardsGroup) {
-  CollectState state(2, PayloadKind::kF0Estimator, DedupMode::kLatestWins);
-  Frame older = frame_decode(grouped_frame(0, 1, 1));
-  Frame newer = frame_decode(grouped_frame(0, 3, 2));
-  const auto take = [](Frame&) { return true; };
-  ASSERT_EQ(state.admit(older, take, /*shard=*/0), Verdict::kAccepted);
-  ASSERT_EQ(state.admit(newer, take, /*shard=*/1), Verdict::kAccepted);
-  EXPECT_EQ(state.report().per_site[0].accepted_epoch, 3u);
-  EXPECT_EQ(state.report().per_site[0].group, 2u);  // the newest epoch's tag
-  EXPECT_EQ(state.shard_view(1).per_site[0].group, 2u);
-  EXPECT_FALSE(state.shard_view(0).per_site[0].reported);
-}
-
 TEST(GroupedCollect, ReduceGroupsBucketsDeterministically) {
   const EstimatorParams p{.capacity = 512, .copies = 3, .seed = 91};
   Xoshiro256 rng(92);
