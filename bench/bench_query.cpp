@@ -6,7 +6,10 @@
 //   * BM_QueryEval/<ops>  — the DLRT common-threshold evaluation over
 //     <ops> coordinated sketches (parse hoisted out of the loop); the
 //     dominant cost is walking each copy's retained entries at the common
-//     level, so the row scales with operands x capacity x copies.
+//     level, so the row scales with operands x capacity x copies. The
+//     copies run on MergeEngine::shared()'s pool, so the row reports wall
+//     time (UseRealTime): the caller's CPU time would leave out the pool
+//     threads' share.
 //   * BM_QueryEndToEnd    — a full `GET /query?e=...` admin round trip
 //     (connect, percent-decode, resolve, evaluate, format, close) against
 //     a LIVE RefereeServer with the query handler installed — the path
@@ -96,7 +99,7 @@ void BM_QueryEval(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.SetLabel(std::to_string(sketches.front().num_copies()) + " copies");
 }
-BENCHMARK(BM_QueryEval)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_QueryEval)->Arg(2)->Arg(4)->Arg(8)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 // One admin round trip, same shape as `ustream query --from`: connect,
 // one-line request, read to EOF (the admin protocol is response-then-close).

@@ -18,6 +18,15 @@
 // FreqSketch merges; any other change (a restart with a smaller state, a
 // group re-tag) rebuilds, so a cache never holds more than the current
 // slots.
+//
+// A rebuild of a sketch with merge_many (the F0 estimators) is one
+// merge_many over the cache's slots in site order on MergeEngine::shared()'s
+// pool: its accumulator is presized, where a two-way fold into a copy of
+// the first slot regrew that copy's table on every merge. It serializes
+// exactly like the two-way fold, which FreqSketch keeps. A queued fold
+// stays a plain merge: it is one site's worth of work, and a pool job per
+// accepted delta cost more CPU than it saved. Lock order: the store mutex,
+// then the pool's job mutex; a pool task never takes a store mutex.
 #pragma once
 
 #include <algorithm>
@@ -32,6 +41,7 @@
 
 #include "common/error.h"
 #include "common/frame.h"
+#include "core/merge_engine.h"
 
 namespace ustream {
 
@@ -181,9 +191,20 @@ class SiteSketchStore {
       }
     };
     if (cache.stale) {
-      cache.sketch.reset();
+      std::vector<const Sketch*> parts;
       for (std::size_t s = 0; s < slots_.size(); ++s) {
-        if (slots_[s] && (!group || groups_[s] == *group)) fold_in(*slots_[s]);
+        if (slots_[s] && (!group || groups_[s] == *group)) parts.push_back(&*slots_[s]);
+      }
+      cache.sketch.reset();
+      if constexpr (requires(Sketch& a, std::span<const Sketch* const> o, ThreadPool& tp) {
+                      a.merge_many(o, tp);
+                    }) {
+        if (!parts.empty()) {
+          cache.sketch.emplace(*parts.front());
+          cache.sketch->merge_many(std::span(parts).subspan(1), MergeEngine::shared().pool());
+        }
+      } else {
+        for (const Sketch* p : parts) fold_in(*p);
       }
       cache.stale = false;
     } else {

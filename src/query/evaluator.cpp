@@ -48,6 +48,11 @@ std::size_t WordProgram::count(const std::uint64_t* rows, std::size_t stride,
   return total;
 }
 
+CandidateSet& thread_candidates() {
+  thread_local CandidateSet candidates;
+  return candidates;
+}
+
 double exact_evaluate(
     const Expr& expr,
     const std::function<const std::vector<std::uint64_t>*(const Expr&)>& resolve) {

@@ -17,13 +17,25 @@
 //   Var = |E| * (2^L - 1)   =>   SE ~ sqrt(est * (2^L - 1)).
 //
 // Per copy, that's one scan over the operands' retained entries into a
-// candidate table sized once per call, setting one bit per (operand,
-// candidate); the compiled expression then decides 64 candidates per
-// word and the copy's count is a popcount. The estimator's copies are
-// medianed exactly like plain F0, and the reported SE is the median
-// copy's plug-in. Accuracy degrades with the ratio |union of operands| /
-// |E| — small intersections need capacity — which EXPERIMENTS.md E19
-// quantifies against exact ground truth.
+// candidate table, setting one bit per (operand, candidate); the compiled
+// expression then decides 64 candidates per word and the copy's count is
+// a popcount. The estimator's copies are medianed exactly like plain F0,
+// and the reported SE is the median copy's plug-in. Accuracy degrades
+// with the ratio |union of operands| / |E| — small intersections need
+// capacity — which EXPERIMENTS.md E19 quantifies against exact ground
+// truth.
+//
+// A copy's count depends only on that copy's samples, so the copies run
+// on a ThreadPool — by default MergeEngine::shared()'s, the one the
+// referee's unions already use, so a query and a merge take turns on the
+// same cores instead of oversubscribing them with a second pool. The pool
+// runs min(copies, slots) chunks of contiguous copies; each chunk has its
+// own copy of the compiled program and its thread's candidate table, and
+// writes only its copies' outcomes, so every QueryResult field is
+// bit-identical for any pool size (a 0-worker pool runs inline). Every
+// QueryError is thrown on the caller before the job starts. The table is
+// per thread and kept across queries, within kScratchSlack times what the
+// current query needs (DESIGN.md §13.3).
 #pragma once
 
 #include <algorithm>
@@ -33,7 +45,9 @@
 #include <string>
 #include <vector>
 
+#include "common/bits.h"
 #include "common/dense_map.h"
+#include "core/merge_engine.h"
 #include "query/ast.h"
 #include "query/parser.h"
 
@@ -110,50 +124,131 @@ class WordProgram {
 };
 
 // The candidate labels of one evaluation pass, numbered densely in
-// first-seen order, with one membership bitset row per operand. Sized once
-// for `max_candidates`; reset() empties it for the next pass without ever
-// regrowing the table.
+// first-seen order, with one membership bitset row per operand. prepare()
+// sizes it for a query: an open-addressing table of (label, id) slots at
+// load <= 0.8 for up to `max_candidates` labels a pass, so a pass never
+// regrows it. A slot belongs to the current pass only if it carries the
+// pass's stamp, so reset() empties the table by bumping the stamp instead
+// of clearing it. Outside a pass every row word is zero, so storage kept
+// from a larger query is ready for any smaller shape.
 class CandidateSet {
  public:
-  CandidateSet(std::size_t operands, std::size_t max_candidates)
-      : ids_(max_candidates),
-        stride_((max_candidates + 63) / 64),
-        rows_(operands * stride_, 0) {}
+  // prepare() keeps storage up to this multiple of what a query needs.
+  static constexpr std::size_t kScratchSlack = 4;
+
+  CandidateSet() = default;
+  CandidateSet(std::size_t operands, std::size_t max_candidates) {
+    prepare(operands, max_candidates);
+  }
+
+  // bytes_used() of a set freshly sized for this shape.
+  static std::size_t bytes_for(std::size_t operands, std::size_t max_candidates) noexcept {
+    return table_size_for(max_candidates) * sizeof(Slot) +
+           operands * ((max_candidates + 63) / 64) * sizeof(std::uint64_t);
+  }
+
+  // Readies the (empty) set for `operands` rows and at most
+  // `max_candidates` distinct labels a pass. Storage is kept while it is at
+  // most kScratchSlack times bytes_for(operands, max_candidates), grown to
+  // fit if short, and otherwise released and allocated at exactly this
+  // shape.
+  void prepare(std::size_t operands, std::size_t max_candidates) {
+    const std::size_t stride = (max_candidates + 63) / 64;
+    const std::size_t words = operands * stride;
+    const std::size_t table = table_size_for(max_candidates);
+    const bool shrink = bytes_used() > kScratchSlack * bytes_for(operands, max_candidates);
+    if (shrink || slots_.size() < table) {
+      slots_ = std::vector<Slot>(table);
+      stamp_ = 1;
+    }
+    if (shrink) {
+      rows_ = std::vector<std::uint64_t>(words, 0);
+    } else if (rows_.size() < words) {
+      rows_.reserve(words);
+      rows_.resize(words, 0);
+    }
+    mask_ = slots_.size() - 1;
+    operands_ = operands;
+    stride_ = stride;
+  }
 
   // Marks `label` as present in operand `operand`.
   void add(std::size_t operand, std::uint64_t label) {
-    const std::uint32_t id =
-        ids_.try_emplace(label, static_cast<std::uint32_t>(ids_.size())).first->value;
+    std::size_t pos = detail::dense_map_mix(label) & mask_;
+    std::uint32_t id;
+    while (true) {
+      Slot& slot = slots_[pos];
+      if (slot.stamp != stamp_) {
+        slot = {label, size_, stamp_};
+        id = size_++;
+        break;
+      }
+      if (slot.label == label) {
+        id = slot.id;
+        break;
+      }
+      pos = (pos + 1) & mask_;
+    }
     rows_[operand * stride_ + id / 64] |= std::uint64_t{1} << (id % 64);
   }
 
-  std::size_t size() const noexcept { return ids_.size(); }
+  std::size_t size() const noexcept { return size_; }
 
   std::size_t count(WordProgram& program) const {
-    return program.count(rows_.data(), stride_, ids_.size());
+    return program.count(rows_.data(), stride_, size_);
   }
 
   void reset() {
-    const std::size_t used = (ids_.size() + 63) / 64;
-    for (std::size_t row = 0; row < rows_.size(); row += stride_) {
-      std::fill_n(rows_.begin() + static_cast<std::ptrdiff_t>(row), used, 0);
+    const std::size_t used = (size_ + 63) / 64;
+    for (std::size_t j = 0; j < operands_; ++j) {
+      std::fill_n(rows_.begin() + static_cast<std::ptrdiff_t>(j * stride_), used, 0);
     }
-    ids_.reset();
+    size_ = 0;
+    if (++stamp_ == 0) {  // wrapped: clear the stamps once, skipping 0
+      for (Slot& slot : slots_) slot.stamp = 0;
+      stamp_ = 1;
+    }
+  }
+
+  std::size_t bytes_used() const noexcept {
+    return slots_.capacity() * sizeof(Slot) + rows_.capacity() * sizeof(std::uint64_t);
   }
 
  private:
-  DenseMap<std::uint32_t> ids_;  // label -> candidate id
-  std::size_t stride_;           // words per operand row
+  struct Slot {
+    std::uint64_t label = 0;
+    std::uint32_t id = 0;
+    std::uint32_t stamp = 0;  // the pass that filled it; 0 = never
+  };
+
+  static std::size_t table_size_for(std::size_t n) noexcept {
+    return static_cast<std::size_t>(ceil_pow2(n + n / 4 + 16));
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  std::uint32_t stamp_ = 1;
+  std::uint32_t size_ = 0;
+  std::size_t operands_ = 0;  // rows in use
+  std::size_t stride_ = 0;    // words per operand row
   std::vector<std::uint64_t> rows_;
 };
+
+// The calling thread's candidate set, kept across queries; evaluate()
+// prepare()s it for each query. Never used by two passes at once: a chunk
+// finishes its copies before its thread takes another chunk.
+CandidateSet& thread_candidates();
 
 // Evaluates `expr` over sketches named by its operands. `resolve` returns
 // the estimator for an operand leaf, or nullptr for an unknown name (which
 // becomes a QueryError at that leaf's position). All resolved estimators
-// must be pairwise mergeable (same params + seed — i.e. coordinated).
+// must be pairwise mergeable (same params + seed — i.e. coordinated). The
+// copies run on `pool`; the resolved sketches must stay unchanged until
+// the call returns.
 template <typename Est>
 QueryResult evaluate(const Expr& expr,
-                     const std::function<const Est*(const Expr&)>& resolve) {
+                     const std::function<const Est*(const Expr&)>& resolve,
+                     ThreadPool& pool = MergeEngine::shared().pool()) {
   const OperandTable table(expr);
   std::vector<const Est*> ops;
   ops.reserve(table.size());
@@ -170,7 +265,7 @@ QueryResult evaluate(const Expr& expr,
     }
     ops.push_back(est);
   }
-  WordProgram program(expr, table);
+  const WordProgram program(expr, table);
 
   const std::size_t copies = ops.front()->num_copies();
   std::size_t max_entries = 0;
@@ -179,26 +274,31 @@ QueryResult evaluate(const Expr& expr,
     for (const Est* op : ops) entries += op->copy(i).entries().size();
     max_entries = std::max(max_entries, entries);
   }
-  CandidateSet candidates(ops.size(), max_entries);
   struct CopyOutcome {
     double est = 0.0;
     int level = 0;
     std::size_t candidates = 0;
   };
   std::vector<CopyOutcome> outcomes(copies);
-  for (std::size_t i = 0; i < copies; ++i) {
-    int level = 0;
-    for (const Est* op : ops) level = std::max(level, op->copy(i).level());
-    for (std::size_t j = 0; j < ops.size(); ++j) {
-      for (const auto& e : ops[j]->copy(i).entries()) {
-        if (e.value.level >= level) candidates.add(j, e.key);
+  const std::size_t chunks = std::min(copies, pool.worker_count() + 1);
+  pool.parallel_for(chunks, [&](std::size_t c) {
+    WordProgram chunk_program = program;  // count() uses its stack as scratch
+    CandidateSet& candidates = thread_candidates();
+    candidates.prepare(ops.size(), max_entries);
+    for (std::size_t i = c * copies / chunks; i < (c + 1) * copies / chunks; ++i) {
+      int level = 0;
+      for (const Est* op : ops) level = std::max(level, op->copy(i).level());
+      for (std::size_t j = 0; j < ops.size(); ++j) {
+        for (const auto& e : ops[j]->copy(i).entries()) {
+          if (e.value.level >= level) candidates.add(j, e.key);
+        }
       }
+      const std::size_t count = candidates.count(chunk_program);
+      outcomes[i] = {std::ldexp(static_cast<double>(count), level), level,
+                     candidates.size()};
+      candidates.reset();
     }
-    const std::size_t count = candidates.count(program);
-    outcomes[i] = {std::ldexp(static_cast<double>(count), level), level,
-                   candidates.size()};
-    candidates.reset();
-  }
+  });
   // Median copy by estimate (lower middle for even copy counts, so the
   // reported level/candidates always come from a concrete copy).
   std::vector<std::size_t> order(copies);

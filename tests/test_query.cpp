@@ -8,17 +8,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/frame.h"
 #include "common/random.h"
 #include "core/f0_estimator.h"
+#include "core/merge_engine.h"
 #include "distributed/collect.h"
 #include "hash/hash_family.h"
 #include "query/evaluator.h"
@@ -712,6 +716,205 @@ TEST(QueryDifferential, WordProgramMasksTheLastWord) {
     candidates.reset();
     EXPECT_EQ(candidates.size(), 0u);
   }
+}
+
+// ------------------------------------------ copies on a thread pool
+//
+// evaluate() runs the copies on a pool. Its answer may not depend on the
+// pool's size or on which thread took which chunk, and every error must be
+// the one the caller would see with no pool at all.
+
+std::string hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+std::vector<F0Estimator> workload_sketches(const EstimatorParams& p, double zipf_alpha,
+                                           std::uint64_t seed) {
+  const auto w = make_distributed_workload({.sites = 8, .union_distinct = 16'000,
+                                            .overlap = 0.5, .duplication = 1.0,
+                                            .zipf_alpha = zipf_alpha, .seed = seed});
+  std::vector<F0Estimator> out;
+  for (const auto& stream : w.site_streams) {
+    std::vector<std::uint64_t> labels;
+    labels.reserve(stream.size());
+    for (const Item& item : stream) labels.push_back(item.label);
+    F0Estimator est(p);
+    est.add_batch(labels);
+    out.push_back(std::move(est));
+  }
+  return out;
+}
+
+query::QueryResult evaluate_on(const std::vector<F0Estimator>& sketches, const Expr& expr,
+                               ThreadPool& pool) {
+  const std::function<const F0Estimator*(const Expr&)> resolve =
+      [&sketches](const Expr& leaf) -> const F0Estimator* {
+    if (leaf.operand != OperandKind::kSite || leaf.id >= sketches.size()) return nullptr;
+    return &sketches[leaf.id];
+  };
+  return query::evaluate<F0Estimator>(expr, resolve, pool);
+}
+
+void expect_identical(const query::QueryResult& a, const query::QueryResult& b,
+                      const std::string& what) {
+  EXPECT_EQ(hex(a.estimate), hex(b.estimate)) << what;
+  EXPECT_EQ(hex(a.std_error), hex(b.std_error)) << what;
+  EXPECT_EQ(a.level, b.level) << what;
+  EXPECT_EQ(a.operands, b.operands) << what;
+  EXPECT_EQ(a.candidates, b.candidates) << what;
+}
+
+TEST(QueryPool, AnswersAreBitIdenticalForAnyPoolSize) {
+  ThreadPool inline_pool(0);
+  ThreadPool pool(3);
+  const char* const fixed[] = {
+      "site:0 | site:1",
+      "site:0 & site:1",
+      "site:2 \\ site:3",
+      "(site:0 | site:1) & !site:2",
+      "(site:0 | site:1 | site:2 | site:3) & (site:4 | site:5) \\ (site:6 & !site:7)",
+      "site:0 & site:1 & site:2 & site:3 & site:4 & site:5 & site:6 & site:7"};
+  Xoshiro256 rng(52);
+  for (const double eps : {0.3, 0.1, 0.05}) {
+    const EstimatorParams p = EstimatorParams::for_guarantee(eps, 0.05, 51);
+    for (const double zipf_alpha : {0.0, 1.2}) {
+      const std::vector<F0Estimator> sketches = workload_sketches(p, zipf_alpha, 53);
+      std::vector<ExprPtr> exprs;
+      for (const char* text : fixed) exprs.push_back(query::parse(text));
+      for (int i = 0; i < 2; ++i) exprs.push_back(random_bounded_expr(rng, 8));
+      for (const ExprPtr& e : exprs) {
+        const std::string what = query::to_string(*e) + " eps " + std::to_string(eps) +
+                                 " zipf " + std::to_string(zipf_alpha);
+        const query::QueryResult serial = evaluate_on(sketches, *e, inline_pool);
+        expect_identical(evaluate_on(sketches, *e, pool), serial, what);
+      }
+    }
+  }
+}
+
+TEST(QueryPool, ErrorsAreThrownOnTheCallerForAnyPoolSize) {
+  const EstimatorParams p{.capacity = 64, .copies = 5, .seed = 54};
+  std::vector<F0Estimator> sketches(2, F0Estimator(p));
+  sketches[0].add_batch(std::vector<std::uint64_t>{1, 2, 3});
+  sketches[1].add_batch(std::vector<std::uint64_t>{3, 4});
+  sketches.emplace_back(EstimatorParams{.capacity = 64, .copies = 5, .seed = 55});
+  ThreadPool inline_pool(0);
+  ThreadPool pool(3);
+  const auto error_of = [&](const std::string& text, ThreadPool& on) {
+    const ExprPtr e = query::parse(text);
+    try {
+      (void)evaluate_on(sketches, *e, on);
+    } catch (const QueryError& err) {
+      return std::to_string(err.pos()) + ": " + err.what();
+    }
+    return std::string("no error");
+  };
+  for (const char* text : {"site:0 | site:9", "site:0 & site:2", "!site:0"}) {
+    const std::string serial = error_of(text, inline_pool);
+    EXPECT_NE(serial, "no error") << text;
+    EXPECT_EQ(error_of(text, pool), serial) << text;
+    EXPECT_EQ(error_of(text, MergeEngine::shared().pool()), serial) << text;
+  }
+  EXPECT_EQ(error_of("site:0 | site:9", pool).rfind("9: ", 0), 0u);
+  EXPECT_NE(error_of("site:0 & site:2", pool).find("not coordinated"), std::string::npos);
+  EXPECT_NE(error_of("!site:0", pool).find("unbounded"), std::string::npos);
+}
+
+// The live referee's shape: the admin handler and another client query
+// while the end-of-round union runs, all on MergeEngine::shared()'s pool.
+// Run under the tsan preset (`query` label).
+TEST(QueryPool, ConcurrentQueriesAndReduceShareTheEnginePool) {
+  const EstimatorParams p = EstimatorParams::for_guarantee(0.3, 0.05, 56);
+  const std::vector<F0Estimator> sketches = workload_sketches(p, 0.0, 57);
+  const query::ResolveSketch resolve = [&sketches](const Expr& leaf) -> const F0Estimator* {
+    if (leaf.operand != OperandKind::kSite || leaf.id >= sketches.size()) return nullptr;
+    return &sketches[leaf.id];
+  };
+  const std::vector<std::string> texts = {
+      "site:0 | site:1 | site:2", "(site:0 | site:3) & !site:4",
+      "(site:1 | site:2 | site:5) \\ (site:6 & site:7)", "site:4 & site:5"};
+  ThreadPool inline_pool(0);
+  std::vector<query::QueryResult> expected;
+  for (const std::string& text : texts) {
+    expected.push_back(evaluate_on(sketches, *query::parse(text), inline_pool));
+  }
+  F0Estimator fold = sketches[0];
+  for (std::size_t s = 1; s < sketches.size(); ++s) fold.merge(sketches[s]);
+  const std::vector<std::uint8_t> union_bytes = fold.serialize();
+
+  std::atomic<int> wrong_answers{0};
+  std::atomic<int> wrong_unions{0};
+  const auto querier = [&](std::size_t offset) {
+    for (int round = 0; round < 12; ++round) {
+      for (std::size_t k = 0; k < texts.size(); ++k) {
+        const std::size_t i = (k + offset) % texts.size();
+        const query::QueryResult r = query::run_query(texts[i], resolve);
+        if (hex(r.estimate) != hex(expected[i].estimate) ||
+            hex(r.std_error) != hex(expected[i].std_error) ||
+            r.level != expected[i].level || r.candidates != expected[i].candidates) {
+          ++wrong_answers;
+        }
+      }
+    }
+  };
+  std::thread a(querier, 0);
+  std::thread b(querier, 1);
+  std::thread c([&] {
+    for (int round = 0; round < 12; ++round) {
+      std::vector<F0Estimator> parts = sketches;
+      const auto merged = MergeEngine::shared().reduce(std::move(parts));
+      if (!merged || merged->serialize() != union_bytes) ++wrong_unions;
+    }
+  });
+  a.join();
+  b.join();
+  c.join();
+  EXPECT_EQ(wrong_answers.load(), 0);
+  EXPECT_EQ(wrong_unions.load(), 0);
+}
+
+// Each thread keeps its candidate table across queries, within
+// kScratchSlack of what the current query needs: a small query after a
+// huge one leaves the table at the size a fresh thread would build.
+TEST(QueryPool, ScratchShrinksToTheSmallQueryAfterAHugeOne) {
+  const EstimatorParams p{.capacity = 4096, .copies = 2, .seed = 58};
+  Xoshiro256 rng(59);
+  std::vector<F0Estimator> sketches;
+  std::string huge;
+  for (int s = 0; s < 64; ++s) {
+    std::vector<std::uint64_t> labels(4'000);
+    for (auto& x : labels) x = rng.next();
+    F0Estimator est(p);
+    est.add_batch(labels);
+    sketches.push_back(std::move(est));
+    huge += (s == 0 ? "site:" : " | site:") + std::to_string(s);
+  }
+  const ExprPtr huge_expr = query::parse(huge);
+  const ExprPtr small_expr = query::parse("site:0 & site:1");
+  const ExprPtr one_expr = query::parse("site:0");
+  ThreadPool inline_pool(0);  // every chunk runs here, on this thread's table
+
+  std::size_t fresh_small = 0;
+  std::thread fresh([&] {
+    (void)evaluate_on(sketches, *small_expr, inline_pool);
+    fresh_small = query::thread_candidates().bytes_used();
+  });
+  fresh.join();
+
+  const query::QueryResult huge_answer = evaluate_on(sketches, *huge_expr, inline_pool);
+  EXPECT_EQ(huge_answer.candidates, 64u * 4'000u);
+  const std::size_t huge_bytes = query::thread_candidates().bytes_used();
+  EXPECT_GT(huge_bytes, query::CandidateSet::kScratchSlack * fresh_small);
+
+  (void)evaluate_on(sketches, *small_expr, inline_pool);
+  EXPECT_EQ(query::thread_candidates().bytes_used(), fresh_small);
+  // A smaller shape within the slack reuses the table as it is.
+  (void)evaluate_on(sketches, *one_expr, inline_pool);
+  EXPECT_EQ(query::thread_candidates().bytes_used(), fresh_small);
+  EXPECT_LE(fresh_small, query::CandidateSet::kScratchSlack *
+                             query::CandidateSet::bytes_for(1, 4'000));
 }
 
 // ------------------------------------------------ two-set expressions

@@ -190,6 +190,52 @@ TYPED_TEST(SiteStoreTest, CachesMatchReductionWithQueuedFolds) {
   }
 }
 
+// The caches rebuild through merge_many and fold queued sites with
+// merge(slot, pool) where the sketch has them; either way a cache must
+// serialize exactly like the plain two-way fold of its slots in site order.
+TYPED_TEST(SiteStoreTest, CachesEqualTheTwoWayFoldOfTheSlots) {
+  using Sketch = typename TypeParam::Sketch;
+  constexpr std::size_t kMany = 16;
+  SiteSketchStore<Sketch> store(kMany);
+  std::vector<Sketch> local(kMany, TypeParam::fresh());
+  std::vector<std::uint16_t> groups(kMany);
+  Xoshiro256 rng(21);
+  const auto ship = [&](std::size_t site) {
+    for (int k = 0; k < 200; ++k) local[site].add(rng.below(20'000));
+    ASSERT_TRUE(store.accept(site, groups[site], PayloadKind::kOpaque, local[site].serialize()));
+  };
+  const auto expect_folds = [&] {
+    const auto fold = [&](std::optional<std::uint16_t> group) {
+      std::optional<Sketch> acc;
+      for (std::size_t s = 0; s < kMany; ++s) {
+        if (group && groups[s] != *group) continue;
+        if (acc) {
+          acc->merge(local[s]);
+        } else {
+          acc.emplace(local[s]);
+        }
+      }
+      return acc->serialize();
+    };
+    store.read([&](const auto& view) {
+      EXPECT_EQ(view.all()->serialize(), fold(std::nullopt));
+      for (std::uint16_t g = 0; g < kGroups; ++g) {
+        EXPECT_EQ(view.group(g)->serialize(), fold(g)) << "group " << g;
+      }
+    });
+  };
+  for (std::size_t s = 0; s < kMany; ++s) {
+    groups[s] = static_cast<std::uint16_t>(s % kGroups);
+    ship(s);
+  }
+  expect_folds();  // first reads: every cache is rebuilt from the slots
+  for (std::size_t s = 0; s < kMany; s += 3) ship(s);
+  expect_folds();  // F0 slots that only grew are queued folds
+  groups[4] = static_cast<std::uint16_t>((groups[4] + 1) % kGroups);
+  ship(4);
+  expect_folds();  // a re-tag rebuilds the groups it touches
+}
+
 TEST(SiteStore, RestartWithSmallerStateNeverInflatesTheUnion) {
   SiteSketchStore<F0Estimator> store(2);
   F0Estimator big = F0Kind::fresh(), small = F0Kind::fresh(), other = F0Kind::fresh();
