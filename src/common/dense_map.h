@@ -14,6 +14,15 @@
 // Table placement uses a fixed avalanche mix of the label — independent of
 // any sampler hash, so pathological inputs for the sampler's pairwise hash
 // cannot also degrade the table.
+//
+// A map may also be *unindexed*: no probe table at all, its entries in
+// strictly increasing key order. A default-constructed map starts so, and
+// append_sorted() keeps it so — a decoded sampler, which the referee only
+// iterates, never pays for a table. The first mutating call (try_emplace,
+// filter, reserve, presize, reset, non-const find) builds the table that
+// reserve(size()) would have given, so every later state is the one an
+// eagerly indexed map reaches. Const lookups on an unindexed map
+// binary-search and never build anything: concurrent readers share it.
 #pragma once
 
 #include <algorithm>
@@ -45,7 +54,7 @@ class DenseMap {
     V value;
   };
 
-  DenseMap() { rebuild(kMinSlots); }
+  DenseMap() = default;  // unindexed and empty
   explicit DenseMap(std::size_t expected_size) : floor_slots_(table_size_for(expected_size)) {
     rebuild(floor_slots_);
     entries_.reserve(expected_size);
@@ -53,8 +62,10 @@ class DenseMap {
 
   // Makes room for n entries without a regrow. Unlike presizing through
   // the constructor, this sets no floor: a later filter() shrinks to fit.
+  // An unindexed map gets at least the table reserve(size()) would give.
   void reserve(std::size_t n) {
-    if (table_size_for(n) > slots_.size()) rebuild(table_size_for(n));
+    const std::size_t want = table_size_for(slots_.empty() ? std::max(n, entries_.size()) : n);
+    if (want > slots_.size()) rebuild(want);
     entries_.reserve(n);
   }
 
@@ -67,10 +78,21 @@ class DenseMap {
   std::size_t size() const noexcept { return entries_.size(); }
   bool empty() const noexcept { return entries_.empty(); }
 
+  // Room for n entries in an unindexed map's entry storage; no table.
+  void reserve_entries(std::size_t n) { entries_.reserve(n); }
+
+  // Appends (key, value) to an unindexed map; key must exceed every key
+  // it holds.
+  void append_sorted(std::uint64_t key, V value) {
+    USTREAM_REQUIRE(slots_.empty() && (entries_.empty() || key > entries_.back().key),
+                    "append_sorted needs an unindexed map and increasing keys");
+    entries_.push_back(Entry{key, std::move(value)});
+  }
+
   // Inserts (key, value) if key is absent. Returns {pointer to entry,
   // inserted?}. Pointers are invalidated by any mutating call.
   std::pair<Entry*, bool> try_emplace(std::uint64_t key, V value) {
-    if ((entries_.size() + 1) * 8 > slots_.size() * 7) grow();
+    if ((entries_.size() + 1) * 8 > slots_.size() * 7) grow();  // also indexes
     const std::size_t mask = slots_.size() - 1;
     std::size_t pos = detail::dense_map_mix(key) & mask;
     while (true) {
@@ -86,20 +108,27 @@ class DenseMap {
     }
   }
 
-  Entry* find(std::uint64_t key) noexcept {
+  Entry* find(std::uint64_t key) {
+    if (slots_.empty()) index();
+    return const_cast<Entry*>(std::as_const(*this).find(key));
+  }
+
+  const Entry* find(std::uint64_t key) const noexcept {
+    if (slots_.empty()) {
+      const auto it = std::lower_bound(
+          entries_.begin(), entries_.end(), key,
+          [](const Entry& e, std::uint64_t k) { return e.key < k; });
+      return it != entries_.end() && it->key == key ? &*it : nullptr;
+    }
     const std::size_t mask = slots_.size() - 1;
     std::size_t pos = detail::dense_map_mix(key) & mask;
     while (true) {
       const std::uint32_t slot = slots_[pos];
       if (slot == 0) return nullptr;
-      Entry& e = entries_[slot - 1];
+      const Entry& e = entries_[slot - 1];
       if (e.key == key) return &e;
       pos = (pos + 1) & mask;
     }
-  }
-
-  const Entry* find(std::uint64_t key) const noexcept {
-    return const_cast<DenseMap*>(this)->find(key);
   }
 
   bool contains(std::uint64_t key) const noexcept { return find(key) != nullptr; }
@@ -128,7 +157,8 @@ class DenseMap {
 
   // Empties the map but keeps its probe-table size and entry storage, so
   // a map sized once for a bound can be refilled up to it without regrowing.
-  void reset() noexcept {
+  void reset() {
+    if (slots_.empty()) index();
     std::fill(slots_.begin(), slots_.end(), 0);
     entries_.clear();
   }
@@ -140,7 +170,8 @@ class DenseMap {
   auto end() const noexcept { return entries_.end(); }
   const std::vector<Entry>& entries() const noexcept { return entries_; }
 
-  // Probe-table slots; the map grows once size() exceeds 7/8 of them.
+  // Probe-table slots, 0 while unindexed; the map grows once size()
+  // exceeds 7/8 of them.
   std::size_t table_size() const noexcept { return slots_.size(); }
 
   // Memory footprint in bytes (entries + probe table), for space accounting.
@@ -164,7 +195,11 @@ class DenseMap {
 
   void reindex() { rebuild(std::max(floor_slots_, table_size_for(entries_.size()))); }
 
+  // An unindexed map's first table: what reserve(size()) gives.
+  void index() { rebuild(table_size_for(entries_.size())); }
+
   void grow() {
+    if (slots_.empty()) return index();
     slots_.assign(slots_.size() * 2, 0);
     reindex_into_current();
   }

@@ -79,7 +79,28 @@ class ByteReader {
   std::uint64_t u64();
   double f64();
   // Unsigned LEB128; refuses a varint that runs past 10 bytes or 64 bits.
+  // With 10 bytes left, the longest legal varint cannot run off the end,
+  // so the bytes are read without a bounds check each; the result, the
+  // position and the refusals match the checked loop below.
   std::uint64_t varint() {
+    if (remaining() >= kMaxVarintBytes) {
+      const std::uint8_t* p = data_.data() + pos_;
+      std::uint64_t v = 0;
+      for (std::size_t k = 0; k + 1 < kMaxVarintBytes; ++k) {
+        v |= static_cast<std::uint64_t>(p[k] & 0x7f) << (7 * k);
+        if (!(p[k] & 0x80)) {
+          pos_ += k + 1;
+          return v;
+        }
+      }
+      const std::uint8_t last = p[kMaxVarintBytes - 1];  // bit 63 only
+      pos_ += kMaxVarintBytes;
+      if ((last & 0x7f) > 1) throw SerializationError("varint overflow");
+      if (!(last & 0x80)) return v | static_cast<std::uint64_t>(last) << 63;
+      need(1);
+      ++pos_;
+      throw SerializationError("varint too long");
+    }
     std::uint64_t v = 0;
     int shift = 0;
     while (true) {
@@ -101,6 +122,8 @@ class ByteReader {
   std::size_t position() const noexcept { return pos_; }
 
  private:
+  static constexpr std::size_t kMaxVarintBytes = 10;
+
   void need(std::size_t n) const {
     if (remaining() < n) throw SerializationError("truncated buffer");
   }

@@ -368,14 +368,15 @@ class CoordinatedSampler {
     if (count > capacity) throw SerializationError("sampler overfull");
     // Every entry takes at least two bytes (label delta + level), so a
     // count the buffer cannot back is refused before anything is sized,
-    // and the map is sized for the count — never for the capacity the
-    // sender declares (DESIGN.md §6.4). Later merges into a decoded
-    // sampler grow its map as they need.
+    // and the map holds room for the count — never for the capacity the
+    // sender declares (DESIGN.md §6.4). It is unindexed: the entries
+    // arrive in label order, and a decoded sampler is mostly only
+    // iterated, so its probe table waits for the first mutation.
     if (count > r.remaining() / 2) throw SerializationError("truncated sampler");
     CoordinatedSampler s(static_cast<std::size_t>(capacity), seed,
                          static_cast<std::size_t>(count));
     s.set_level(level);
-    s.read_entries(r, count);
+    s.read_entries<Insert::kAppend>(r, count);
     return s;
   }
 
@@ -423,7 +424,7 @@ class CoordinatedSampler {
     if (new_level > level_) evict_below(new_level);
     const std::uint64_t count = r.varint();
     if (count > capacity_) throw SerializationError("sampler delta overfull");
-    read_entries(r, count);
+    read_entries<Insert::kEmplace>(r, count);
     if (map_.size() > capacity_) throw SerializationError("sampler overfull after delta");
   }
 
@@ -444,11 +445,12 @@ class CoordinatedSampler {
   // label-delta varint + level + value.
   static constexpr std::size_t kEntryMaxBytes = 10 + 1 + detail::ValueCodec<V>::kMaxBytes;
 
-  // Deserialization: room for `entries` in the map, but no presized floor,
-  // so a decoded sampler's table shrinks with its sample like any map's.
+  // Deserialization: room for `entries` in an unindexed map, with no
+  // presized floor, so a decoded sampler's table, once built, shrinks with
+  // its sample like any map's.
   CoordinatedSampler(std::size_t capacity, std::uint64_t seed, std::size_t entries)
       : hash_(seed), seed_(seed), capacity_(capacity) {
-    map_.reserve(entries);
+    map_.reserve_entries(entries);
   }
 
   // The entry block of both wire formats: count, then the entries in label
@@ -469,12 +471,19 @@ class CoordinatedSampler {
     w.end_raw(p);
   }
 
+  // How read_entries puts entries into the map: appended to the fresh,
+  // unindexed map of deserialize, or emplaced into apply_delta's base.
+  enum class Insert { kAppend, kEmplace };
+
   // The entry block's decoder, shared by deserialize and apply_delta:
-  // inserts `count` entries, each refused unless its level is at or above
-  // the sampler's, matches the seed's hash of its label, and its label is
-  // new. Entries are parsed 64 at a time and each block's labels are
-  // hashed by one hash_block call (SIMD for PairwiseHash), then checked
-  // and inserted in wire order.
+  // inserts `count` entries, each refused unless its label exceeds the
+  // previous entry's (write_entries' order: a zero delta past the first
+  // entry, or one that wraps past 2^64, is refused), its level is at or
+  // above the sampler's and matches the seed's hash of its label, and —
+  // for a delta — its label is not already held. Entries are parsed 64 at
+  // a time and each block's labels are hashed by one hash_block call (SIMD
+  // for PairwiseHash), then checked and inserted in wire order.
+  template <Insert kInsert>
   void read_entries(ByteReader& r, std::uint64_t count) {
     std::uint64_t labels[kBatchBlock];
     std::uint64_t h[kBatchBlock];
@@ -484,7 +493,10 @@ class CoordinatedSampler {
     for (std::uint64_t i = 0; i < count; i += kBatchBlock) {
       const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(kBatchBlock, count - i));
       for (std::size_t j = 0; j < n; ++j) {
-        label += r.varint();
+        const std::uint64_t next = label + r.varint();
+        if (next <= label && i + j != 0)
+          throw SerializationError("sampler labels not strictly increasing");
+        label = next;
         labels[j] = label;
         levels[j] = r.u8();
         if (levels[j] < level_ || levels[j] > Hash::kBits)
@@ -495,8 +507,11 @@ class CoordinatedSampler {
       for (std::size_t j = 0; j < n; ++j) {
         if (hash_level(h[j], Hash::kBits) != levels[j])
           throw SerializationError("entry level inconsistent with seed");
-        if (!map_.try_emplace(labels[j], Slot{values[j], levels[j]}).second)
+        if constexpr (kInsert == Insert::kAppend) {
+          map_.append_sorted(labels[j], Slot{values[j], levels[j]});
+        } else if (!map_.try_emplace(labels[j], Slot{values[j], levels[j]}).second) {
           throw SerializationError("duplicate label in sampler");
+        }
       }
     }
   }

@@ -42,6 +42,7 @@
 #include "common/error.h"
 #include "common/frame.h"
 #include "core/merge_engine.h"
+#include "obs/trace.h"
 
 namespace ustream {
 
@@ -73,7 +74,10 @@ class SiteSketchStore {
         }
         return false;
       }
-      Sketch full = Sketch::deserialize(payload);
+      Sketch full = [&] {
+        USTREAM_TRACE_SPAN("ustream_sketch_decode_ns");
+        return Sketch::deserialize(payload);
+      }();
       std::lock_guard<std::mutex> lock(*mu_);
       return install(site, group, std::move(full));
     } catch (const SerializationError&) {

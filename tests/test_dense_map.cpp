@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -174,6 +177,125 @@ TEST(DenseMap, AdversarialCollidingKeys) {
   for (std::uint64_t i = 0; i < 4096; ++i) m.try_emplace(i << 52, 0);
   EXPECT_EQ(m.size(), 4096u);
   for (std::uint64_t i = 0; i < 4096; ++i) EXPECT_TRUE(m.contains(i << 52));
+}
+
+// An unindexed map (append_sorted into a default-constructed one) against
+// the eager map a decoder used to build: reserve(n), then try_emplace in
+// the same order. Every mutator builds the table the eager map already
+// has, so from the first mutation on the two maps must be identical.
+using U64Map = DenseMap<std::uint64_t>;
+
+std::vector<std::uint64_t> sorted_keys(std::size_t n, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::set<std::uint64_t> keys;
+  while (keys.size() < n) keys.insert(rng.next());
+  return {keys.begin(), keys.end()};
+}
+
+U64Map unindexed_map(const std::vector<std::uint64_t>& keys) {
+  U64Map m;
+  m.reserve_entries(keys.size());
+  for (const std::uint64_t k : keys) m.append_sorted(k, k ^ 0x55);
+  return m;
+}
+
+U64Map eager_map(const std::vector<std::uint64_t>& keys) {
+  U64Map m;
+  m.reserve(keys.size());
+  for (const std::uint64_t k : keys) m.try_emplace(k, k ^ 0x55);
+  return m;
+}
+
+void expect_same_map(const U64Map& got, const U64Map& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(got.table_size(), want.table_size()) << what;
+  // Never more memory: an eager map's table keeps the capacity of any
+  // larger table it once had.
+  EXPECT_LE(got.bytes_used(), want.bytes_used()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got.entries()[i].key, want.entries()[i].key) << what << " entry " << i;
+    EXPECT_EQ(got.entries()[i].value, want.entries()[i].value) << what << " entry " << i;
+    EXPECT_EQ(got.find(got.entries()[i].key), &got.entries()[i]) << what << " entry " << i;
+  }
+}
+
+TEST(DenseMap, EveryMutatorOnAnUnindexedMapMatchesAnEagerlyIndexedOne) {
+  const std::vector<std::pair<std::string, std::function<void(U64Map&)>>> mutators = {
+      {"try_emplace new", [](U64Map& m) { m.try_emplace(12345, 1); }},
+      {"try_emplace held",
+       [](U64Map& m) {
+         if (!m.empty()) {
+           EXPECT_FALSE(m.try_emplace(m.entries()[0].key, 1).second);
+         }
+         m.try_emplace(7, 7);
+       }},
+      {"filter", [](U64Map& m) { m.filter([](const auto& e) { return e.key % 3 != 0; }); }},
+      {"filter none", [](U64Map& m) { m.filter([](const auto&) { return false; }); }},
+      {"reserve less", [](U64Map& m) { m.reserve(m.size() / 2); }},
+      {"reserve more", [](U64Map& m) { m.reserve(m.size() * 4 + 1); }},
+      {"presize then filter",
+       [](U64Map& m) {
+         m.presize(m.size() * 2 + 1);
+         m.filter([](const auto& e) { return e.key % 2 == 0; });
+       }},
+      {"reset", [](U64Map& m) { m.reset(); }},
+      {"non-const find",
+       [](U64Map& m) {
+         if (!m.empty()) m.find(m.entries().back().key)->value = 99;
+         EXPECT_EQ(m.find(12345), nullptr);
+       }},
+      {"clear", [](U64Map& m) { m.clear(); }},
+  };
+  for (const std::size_t n : {0u, 1u, 5u, 200u, 3000u}) {
+    const auto keys = sorted_keys(n, n + 1);
+    const auto extra = sorted_keys(2 * n + 20, n + 2);  // then grown past the first table
+    for (const auto& [name, mutate] : mutators) {
+      const std::string what = name + " on " + std::to_string(n);
+      U64Map unindexed = unindexed_map(keys);
+      const U64Map copy = unindexed;
+      EXPECT_EQ(unindexed.table_size(), 0u) << what;
+      EXPECT_EQ(copy.table_size(), 0u) << what << " (copy)";
+      for (U64Map m : {unindexed, copy}) {
+        U64Map eager = eager_map(keys);
+        mutate(m);
+        mutate(eager);
+        expect_same_map(m, eager, what);
+        for (const std::uint64_t k : extra) {
+          EXPECT_EQ(m.try_emplace(k, k).second, eager.try_emplace(k, k).second) << what;
+        }
+        expect_same_map(m, eager, what + " then grown");
+      }
+    }
+  }
+}
+
+TEST(DenseMap, ConstLookupsOnAnUnindexedMapBuildNoTable) {
+  const auto keys = sorted_keys(500, 9);
+  const U64Map m = unindexed_map(keys);
+  for (const std::uint64_t k : keys) {
+    ASSERT_NE(m.find(k), nullptr);
+    EXPECT_EQ(m.find(k)->value, k ^ 0x55);
+    EXPECT_TRUE(m.contains(k));
+    EXPECT_FALSE(m.contains(k + 1) && !std::binary_search(keys.begin(), keys.end(), k + 1));
+  }
+  for (const std::uint64_t absent : {std::uint64_t{0}, keys.front() - 1, keys.back() + 1,
+                                     ~std::uint64_t{0}}) {
+    EXPECT_EQ(m.find(absent), nullptr) << absent;
+  }
+  EXPECT_EQ(m.table_size(), 0u);
+  const U64Map empty;
+  EXPECT_FALSE(empty.contains(0));
+  EXPECT_EQ(empty.table_size(), 0u);
+}
+
+TEST(DenseMap, AppendSortedRefusesKeysOutOfOrderAndIndexedMaps) {
+  U64Map m;
+  m.append_sorted(0, 0);  // the smallest key is fine first
+  m.append_sorted(5, 0);
+  EXPECT_THROW(m.append_sorted(5, 0), InvalidArgument);
+  EXPECT_THROW(m.append_sorted(4, 0), InvalidArgument);
+  m.try_emplace(9, 0);
+  EXPECT_THROW(m.append_sorted(10, 0), InvalidArgument);
 }
 
 TEST(DenseSet, InsertSemantics) {

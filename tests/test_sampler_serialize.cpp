@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/dense_map.h"
@@ -236,6 +237,12 @@ void expect_corrupt_entries_refused() {
     entries[at] = valid[at == 0 ? 1 : at - 1];
     refused("duplicate label", entries);
 
+    // Distinct labels out of order: the label delta that goes back wraps
+    // past 2^64 onto the smaller label. No serializer writes this.
+    entries = valid;
+    std::swap(entries[at], entries[at == 0 ? 1 : at - 1]);
+    refused("label order wrapping around", entries);
+
     // One byte into the entry's label delta: random labels make every
     // delta a multi-byte varint, so that byte promises another one.
     ASSERT_NE(good[starts[at]] & 0x80, 0) << "entry " << at;
@@ -256,8 +263,10 @@ TEST(SamplerSerialize, ValuedRejectsCorruptEntriesAroundDecodeBlocks) {
 
 // Decoded samplers re-serialize to their input bytes at every block
 // shape, and their map is sized for the entries present (DESIGN.md §6.4):
-// exactly what DenseMap::reserve(count) gives, whatever the capacity.
+// no probe table until the first mutation, which builds exactly what
+// DenseMap::reserve(count) gives, whatever the capacity.
 TEST(SamplerSerialize, DecodeRoundTripsAndSizesTheMapForTheCount) {
+  Xoshiro256 rng(0x5EED);
   for (const std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{63},
                                   std::size_t{64}, std::size_t{65}, std::size_t{130},
                                   std::size_t{3600}}) {
@@ -267,7 +276,14 @@ TEST(SamplerSerialize, DecodeRoundTripsAndSizesTheMapForTheCount) {
     EXPECT_EQ(s.serialize(), bytes) << count;
     DenseMap<Sampler::Slot> reserved;
     reserved.reserve(count);
-    EXPECT_EQ(s.entries().table_size(), reserved.table_size()) << count;
+    EXPECT_EQ(s.entries().table_size(), 0u) << count;
+    EXPECT_LE(s.entries().bytes_used(), reserved.bytes_used()) << count;
+    Sampler mutated = s;
+    std::uint64_t fresh = rng.next();
+    while (mutated.level_of(fresh) < 1 || mutated.contains(fresh)) fresh = rng.next();
+    mutated.add(fresh);
+    ASSERT_EQ(mutated.size(), count + 1);
+    EXPECT_EQ(mutated.entries().table_size(), reserved.table_size()) << count;
 
     const auto valued =
         encode_sampler<double>(0xB10C, 4096, 1, level_one_entries<ValueSampler>(0xB10C, count));
